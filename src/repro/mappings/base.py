@@ -60,6 +60,8 @@ class AddressMapping(ABC):
             )
         self.module_bits = module_bits
         self.address_bits = address_bits
+        #: ``2**address_bits - 1``: :meth:`reduce` is one AND with it.
+        self.address_mask = (1 << address_bits) - 1
 
     @property
     def module_count(self) -> int:
@@ -73,7 +75,7 @@ class AddressMapping(ABC):
 
     def reduce(self, address: int) -> int:
         """Wrap ``address`` into the machine's address space."""
-        return address & (self.address_space - 1)
+        return address & self.address_mask
 
     @abstractmethod
     def module_of(self, address: int) -> int:

@@ -51,6 +51,7 @@ class MatchedXorMapping(AddressMapping):
                 f"{address_bits}-bit address space"
             )
         self.s = s
+        self._module_mask = self.module_count - 1
 
     @property
     def t(self) -> int:
@@ -61,10 +62,10 @@ class MatchedXorMapping(AddressMapping):
         return ("matched-xor", self.module_bits, self.s, self.address_bits)
 
     def module_of(self, address: int) -> int:
-        address = self.reduce(address)
-        low = bit_field(address, 0, self.module_bits)
-        high = bit_field(address, self.s, self.module_bits)
-        return low ^ high
+        # a[t-1..0] XOR a[s+t-1..s] in one step.  Both fields lie inside
+        # the address space (s + t <= address_bits), so reducing first
+        # would not change them.
+        return (address ^ (address >> self.s)) & self._module_mask
 
     def displacement_of(self, address: int) -> int:
         """Displacement = the address without its low ``t`` bits.

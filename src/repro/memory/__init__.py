@@ -5,8 +5,8 @@ Module map
 
 * :mod:`repro.memory.kernel` — **the one memory kernel**:
   :class:`MemoryKernel` simulates M modules × ``k`` address/result
-  ports × ``n`` named request streams in a single flat, event-skipping
-  cycle loop.  Every other simulator here is a view over it.
+  ports × ``n`` named request streams in a single event-driven cycle
+  loop.  Every other simulator here is a view over it.
 * :mod:`repro.memory.system` — :class:`MemorySystem`, the classic
   single-stream view (``k = 1, n = 1``) returning
   :class:`AccessResult`.
@@ -19,14 +19,12 @@ Module map
 * :mod:`repro.memory.module` — the single-module state machine
   (documentation/reference model; the kernel keeps the same state in
   flat arrays) and the :class:`InFlightRequest` timing record.
-* :mod:`repro.memory.arbiter` — result-bus arbitration policies.
 * :mod:`repro.memory.storage` — the word-addressable backing store.
 * :mod:`repro.memory.metrics`, :mod:`repro.memory.trace`,
   :mod:`repro.memory.events` — derived metrics, Gantt rendering and
   event logs.
 """
 
-from repro.memory.arbiter import FifoArbiter, ResultArbiter, RoundRobinArbiter
 from repro.memory.config import MemoryConfig
 from repro.memory.events import Event, EventKind, EventLog
 from repro.memory.kernel import (
@@ -59,7 +57,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventLog",
-    "FifoArbiter",
     "InFlightRequest",
     "KernelRun",
     "KernelStream",
@@ -75,8 +72,6 @@ __all__ = [
     "StreamRun",
     "PopulationSummary",
     "PortAssignment",
-    "ResultArbiter",
-    "RoundRobinArbiter",
     "access_efficiency",
     "cycles_per_element",
     "describe_result",

@@ -36,24 +36,32 @@ Timing contract (unchanged from the package docstring, per port):
 Hence ``ports = 1, streams = 1`` degenerates exactly to the paper's
 conflict-free minimum latency ``T + L + 1``.
 
-Performance: the kernel keeps per-module state in flat preallocated
-lists (no per-cycle attribute churn through module objects) and
-fast-forwards over idle cycles — when a cycle passes with no issue, no
-grant, no service start and no completion, the loop jumps straight to
-the next scheduled event (service completion, head-of-queue arrival, or
-result-ready edge), accounting the skipped stall and busy cycles
-arithmetically.  ``benchmarks/bench_simulator_perf.py`` tracks the
-resulting throughput.
+Performance: the kernel is event-driven, so the host cost of a cycle
+scales with the events in it, not with the number of active modules.
+Per-module state lives in flat preallocated lists, and a cycle touches
+only the modules named by four event structures: a FIFO of service
+completions (service time is the constant ``T``, so modules finish in
+the order they started), the set of idle modules with queued requests,
+the set of modules blocked on ``q'``, and a ``(ready, module)`` heap
+over the non-empty output queues that makes the oldest-first grant a
+heap pop.  A port bound to a single stream issues without candidate
+selection, and per-stream wait counts are taken as requests start
+service.  When a cycle passes with no issue, no grant, no service
+start and no completion, the loop jumps straight to the next scheduled
+event (service completion, result-ready edge or staggered stream
+start), accounting the skipped stall cycles arithmetically.
+``benchmarks/bench_simulator_perf.py`` and ``perfbench/run.py
+--workload program-sweep`` track the resulting throughput.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from heapq import heappop, heappush
 from typing import Sequence
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.arbiter import ResultArbiter
 from repro.memory.config import MemoryConfig
 from repro.memory.module import InFlightRequest
 from repro.obs.tracer import resolve_tracer
@@ -102,7 +110,10 @@ class StreamRun:
     Cycle fields are kernel-relative (the run starts at cycle 1).
     ``module_request_counts`` attributes each module's load to this
     stream, so per-stream busy accounting (``service_ratio *
-    count``) stays exact even when streams share modules.
+    count``) stays exact even when streams share modules.  ``waits``
+    is the kernel's count of requests that queued behind a busy
+    module, taken as each request started service; when omitted it is
+    counted from ``requests``.
     """
 
     name: str
@@ -114,6 +125,12 @@ class StreamRun:
     requests: tuple[InFlightRequest, ...]
     module_request_counts: tuple[int, ...]
     start_cycle: int = 1
+    waits: InitVar[int | None] = None
+
+    def __post_init__(self, waits: int | None) -> None:
+        if waits is None:
+            waits = sum(1 for request in self.requests if request.waited)
+        object.__setattr__(self, "_wait_count", waits)
 
     @property
     def element_count(self) -> int:
@@ -127,7 +144,7 @@ class StreamRun:
     @property
     def wait_count(self) -> int:
         """Requests that queued behind a busy module."""
-        return sum(1 for request in self.requests if request.waited)
+        return self._wait_count
 
     @property
     def conflict_free(self) -> bool:
@@ -180,10 +197,6 @@ class MemoryKernel:
         How streams sharing one port take turns: ``"round_robin"``
         (rotate past the last issuer) or ``"priority"`` (lowest stream
         index first, head-of-line blocking).
-    arbiter:
-        Optional custom :class:`~repro.memory.arbiter.ResultArbiter`.
-        ``None`` selects the built-in oldest-first (FIFO) grant, which
-        also enables the event-skip fast path.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  Events are derived
         *after* the cycle loop from the per-request timing records the
@@ -197,7 +210,6 @@ class MemoryKernel:
         *,
         ports: int | None = None,
         policy: str = "round_robin",
-        arbiter: ResultArbiter | None = None,
         tracer=None,
     ):
         resolved_ports = config.ports if ports is None else ports
@@ -223,7 +235,6 @@ class MemoryKernel:
         self.config = config
         self.ports = resolved_ports
         self.policy = policy
-        self.arbiter = arbiter
         self.tracer = resolve_tracer(tracer)
 
     # -- public API -----------------------------------------------------
@@ -291,39 +302,47 @@ class MemoryKernel:
         round_robin = self.policy == "round_robin"
         stream_count = len(kernel_streams)
 
-        # Flat request state, indexed by request id (rid).
+        # Flat request state, indexed by request id (rid).  Stream ``s``
+        # owns the contiguous rids ``bounds[s] .. bounds[s + 1] - 1``.
+        mask = mapping.address_mask
         elem: list[int] = []
         addr: list[int] = []
-        mod: list[int] = []
         store_flag: list[bool] = []
         stream_of: list[int] = []
-        stream_rids: list[list[int]] = []
+        bounds = [0]
         for s_index, stream in enumerate(kernel_streams):
-            rids: list[int] = []
-            for position, (element, address) in enumerate(stream.requests):
-                reduced = mapping.reduce(address)
-                rids.append(len(elem))
-                elem.append(element)
-                addr.append(reduced)
-                mod.append(mapping.module_of(reduced))
-                store_flag.append(position in stream.stores)
-                stream_of.append(s_index)
-            stream_rids.append(rids)
+            requests = stream.requests
+            stores = stream.stores
+            elem += [element for element, _ in requests]
+            addr += [address & mask for _, address in requests]
+            store_flag += [
+                position in stores for position in range(len(requests))
+            ]
+            stream_of += [s_index] * len(requests)
+            bounds.append(len(elem))
+        mod = list(map(mapping.module_of, addr))
         total = len(elem)
         issue = [0] * total
         arrival = [0] * total
         start = [0] * total
         delivery = [0] * total
 
-        # Flat per-module state.
+        # Flat per-module state.  ``occupant`` is the request a module
+        # is serving, or holding finished behind a full output queue.
         in_q: list[deque[int]] = [deque() for _ in range(module_count)]
-        svc_rid = [-1] * module_count
-        svc_finish = [0] * module_count
-        blk_rid = [-1] * module_count
+        occupant = [-1] * module_count
         out_q: list[deque[tuple[int, int]]] = [
             deque() for _ in range(module_count)
         ]
-        active: set[int] = set()
+        # The event structures: a cycle touches only the modules in
+        # them.  Service takes the constant ``T``, so modules finish in
+        # the order they started and a FIFO of (finish, module) is
+        # sorted.  ``ready_heap`` holds one (ready, module) entry per
+        # non-empty output queue, keyed by the queue's head.
+        finishing: deque[tuple[int, int]] = deque()
+        startable: set[int] = set()  # idle, with queued requests
+        blocked: set[int] = set()  # finished, output queue full (q')
+        ready_heap: list[tuple[int, int]] = []
 
         # Per-stream and per-port bookkeeping.
         port_of = [
@@ -333,28 +352,18 @@ class MemoryKernel:
         port_members: list[list[int]] = [[] for _ in range(ports)]
         for index, port in enumerate(port_of):
             port_members[port].append(index)
-        stream_len = [len(rids) for rids in stream_rids]
         starts = [stream.start_cycle for stream in kernel_streams]
-        cursors = [0] * stream_count
+        cursors = bounds[:-1]  # each stream's next rid to issue
+        ends = bounds[1:]
         stalls = [0] * stream_count
-        first_issue = [0] * stream_count
-        last_delivery = [0] * stream_count
+        waits = [0] * stream_count
         rotation = [0] * ports
         port_issues = [0] * ports
 
         delivered = 0
-        bus_busy = 0
         bus_held = False
         cycle = 0
         guard = (total + 2) * (service_time + 2) + 64 + max(starts) - 1
-        # Custom arbiters may carry state across grants, so the
-        # event-skip fast-forward (which elides whole no-op cycles) is
-        # only safe with the built-in FIFO grant.
-        shims = (
-            [_ModuleShim(out_q, m) for m in range(module_count)]
-            if self.arbiter is not None
-            else None
-        )
 
         while delivered < total:
             cycle += 1
@@ -365,34 +374,40 @@ class MemoryKernel:
                 )
             progressed = False
 
-            # 1. Address ports: one request per port per cycle.
+            # 1. Address ports: one request per port per cycle.  A port
+            # bound to a single stream skips candidate selection.
             for port in range(ports):
                 members = port_members[port]
-                candidates = [
-                    s
-                    for s in members
-                    if cursors[s] < stream_len[s] and starts[s] <= cycle
-                ]
-                if not candidates:
-                    continue
-                if round_robin and len(candidates) > 1:
-                    rot = rotation[port]
-                    candidates.sort(
-                        key=lambda s: (s - rot) % stream_count
-                    )
+                if len(members) == 1:
+                    s = members[0]
+                    if cursors[s] == ends[s] or starts[s] > cycle:
+                        continue
+                    candidates = members
+                else:
+                    candidates = [
+                        s
+                        for s in members
+                        if cursors[s] < ends[s] and starts[s] <= cycle
+                    ]
+                    if not candidates:
+                        continue
+                    if round_robin and len(candidates) > 1:
+                        rot = rotation[port]
+                        candidates.sort(
+                            key=lambda s: (s - rot) % stream_count
+                        )
                 for s in candidates:
-                    rid = stream_rids[s][cursors[s]]
+                    rid = cursors[s]
                     m = mod[rid]
-                    if len(in_q[m]) < input_capacity:
+                    queue = in_q[m]
+                    if len(queue) < input_capacity:
                         issue[rid] = cycle
                         arrival[rid] = cycle + 1
-                        in_q[m].append(rid)
-                        active.add(m)
-                        if first_issue[s] == 0:
-                            first_issue[s] = cycle
+                        queue.append(rid)
+                        if occupant[m] < 0:
+                            startable.add(m)
                         cursors[s] += 1
                         rotation[port] = s + 1
-                        bus_busy += 1
                         port_issues[port] += 1
                         progressed = True
                         break
@@ -402,175 +417,163 @@ class MemoryKernel:
 
             # 2. Result ports: up to ``ports`` deliveries per cycle,
             # oldest result first (ready cycle, then module index).
-            ready_count = 0
-            for m in active:
-                queue = out_q[m]
-                if queue and queue[0][0] <= cycle:
-                    ready_count += 1
-            grants = 0
-            if shims is None:
-                while grants < ports and delivered < total:
-                    best_key: tuple[int, int] | None = None
-                    best_m = -1
-                    for m in active:
-                        queue = out_q[m]
-                        if queue:
-                            ready = queue[0][0]
-                            if ready <= cycle:
-                                key = (ready, m)
-                                if best_key is None or key < best_key:
-                                    best_key = key
-                                    best_m = m
-                    if best_m < 0:
-                        break
-                    rid = out_q[best_m].popleft()[1]
+            if ready_heap and ready_heap[0][0] <= cycle:
+                grants = 0
+                while (
+                    grants < ports
+                    and ready_heap
+                    and ready_heap[0][0] <= cycle
+                ):
+                    m = heappop(ready_heap)[1]
+                    queue = out_q[m]
+                    rid = queue.popleft()[1]
+                    if queue:
+                        heappush(ready_heap, (queue[0][0], m))
                     delivery[rid] = cycle
-                    s = stream_of[rid]
-                    if cycle > last_delivery[s]:
-                        last_delivery[s] = cycle
                     delivered += 1
                     grants += 1
-                    progressed = True
-            else:
-                for _port in range(ports):
-                    granted = self.arbiter.grant(shims, cycle)
-                    if granted is None:
-                        break
-                    rid = out_q[granted].popleft()[1]
-                    delivery[rid] = cycle
-                    s = stream_of[rid]
-                    if cycle > last_delivery[s]:
-                        last_delivery[s] = cycle
-                    delivered += 1
-                    grants += 1
-                    progressed = True
-            if ready_count > grants:
-                bus_held = True
+                progressed = True
+                # A result still ready was not delivered on its ready
+                # cycle.  The first time that happens no module has two
+                # results ready (a module queues at most one result per
+                # cycle), so this is the rule "more modules had a result
+                # ready than there were grants".
+                if ready_heap and ready_heap[0][0] <= cycle:
+                    bus_held = True
 
             # 3. Module service: start new work, then retire finishing
-            # work (start-before-finish per module preserves the legacy
-            # phase order; modules are independent within a phase).
-            for m in list(active):
-                if svc_rid[m] < 0 and blk_rid[m] < 0:
+            # work.  Within one module a start precedes a finish, which
+            # preserves the legacy phase order (with ``T = 1`` a module
+            # starts and finishes in the same cycle); modules are
+            # independent within the phase.
+            if startable:
+                for m in tuple(startable):
                     queue = in_q[m]
-                    if queue:
-                        rid = queue[0]
-                        if arrival[rid] <= cycle:
-                            queue.popleft()
-                            start[rid] = cycle
-                            svc_rid[m] = rid
-                            svc_finish[m] = cycle + service_time - 1
-                            progressed = True
-                if blk_rid[m] >= 0:
-                    if len(out_q[m]) < output_capacity:
-                        out_q[m].append((cycle + 1, blk_rid[m]))
-                        blk_rid[m] = -1
+                    rid = queue[0]
+                    if arrival[rid] <= cycle:
+                        queue.popleft()
+                        start[rid] = cycle
+                        if arrival[rid] != cycle:
+                            waits[stream_of[rid]] += 1
+                        occupant[m] = rid
+                        startable.discard(m)
+                        finishing.append((cycle + service_time - 1, m))
                         progressed = True
-                elif svc_rid[m] >= 0 and svc_finish[m] == cycle:
-                    rid = svc_rid[m]
-                    svc_rid[m] = -1
-                    if len(out_q[m]) < output_capacity:
-                        out_q[m].append((cycle + 1, rid))
-                    else:
-                        blk_rid[m] = rid
-                    progressed = True
-                if (
-                    svc_rid[m] < 0
-                    and blk_rid[m] < 0
-                    and not in_q[m]
-                    and not out_q[m]
-                ):
-                    active.discard(m)
+            if blocked:
+                for m in tuple(blocked):
+                    queue = out_q[m]
+                    if len(queue) < output_capacity:
+                        if not queue:
+                            heappush(ready_heap, (cycle + 1, m))
+                        queue.append((cycle + 1, occupant[m]))
+                        occupant[m] = -1
+                        blocked.discard(m)
+                        if in_q[m]:
+                            startable.add(m)
+                        progressed = True
+            while finishing and finishing[0][0] == cycle:
+                m = finishing.popleft()[1]
+                queue = out_q[m]
+                if len(queue) < output_capacity:
+                    if not queue:
+                        heappush(ready_heap, (cycle + 1, m))
+                    queue.append((cycle + 1, occupant[m]))
+                    occupant[m] = -1
+                    if in_q[m]:
+                        startable.add(m)
+                else:
+                    blocked.add(m)
+                progressed = True
 
             # 4. Event skip: a cycle in which nothing moved is followed
             # by identical cycles until the next scheduled event; jump
             # there, accounting the skipped stall cycles arithmetically.
-            if not progressed and delivered < total and shims is None:
+            # Such a cycle has no startable module (a queued request
+            # starts the cycle it arrives at an idle module), and no
+            # finish or ready result due at or before it.
+            if not progressed and delivered < total:
                 next_event = guard + 1
-                for m in active:
-                    if svc_rid[m] >= 0:
-                        if svc_finish[m] < next_event:
-                            next_event = svc_finish[m]
-                    elif blk_rid[m] < 0 and in_q[m]:
-                        head_arrival = arrival[in_q[m][0]]
-                        if cycle < head_arrival < next_event:
-                            next_event = head_arrival
-                    if out_q[m]:
-                        ready = out_q[m][0][0]
-                        if cycle < ready < next_event:
-                            next_event = ready
+                if finishing:
+                    next_event = min(next_event, finishing[0][0])
+                if ready_heap:
+                    next_event = min(next_event, ready_heap[0][0])
                 # A stream still waiting for its staggered start is the
                 # next event when nothing else is scheduled sooner.
                 for s in range(stream_count):
                     if (
-                        cursors[s] < stream_len[s]
+                        cursors[s] < ends[s]
                         and cycle < starts[s] < next_event
                     ):
                         next_event = starts[s]
                 jump = next_event - cycle - 1
                 if jump > 0:
                     for port in range(ports):
-                        blocked = [
+                        blocked_streams = [
                             s
                             for s in port_members[port]
-                            if cursors[s] < stream_len[s]
+                            if cursors[s] < ends[s]
                             and starts[s] <= cycle
                         ]
-                        if not blocked:
+                        if not blocked_streams:
                             continue
                         if round_robin:
-                            for s in blocked:
+                            for s in blocked_streams:
                                 stalls[s] += jump
                         else:
-                            stalls[blocked[0]] += jump
+                            stalls[blocked_streams[0]] += jump
                     cycle += jump
 
         # Materialise the timing records and per-stream summaries.
+        finish = [started + service_time - 1 for started in start]
+        records = list(
+            map(
+                InFlightRequest,
+                elem,
+                addr,
+                mod,
+                store_flag,
+                issue,
+                arrival,
+                start,
+                finish,
+                delivery,
+            )
+        )
         stream_runs: list[StreamRun] = []
         for s_index, stream in enumerate(kernel_streams):
-            requests: list[InFlightRequest] = []
+            low, high = bounds[s_index], bounds[s_index + 1]
             counts = [0] * module_count
-            for rid in stream_rids[s_index]:
-                m = mod[rid]
+            for m in mod[low:high]:
                 counts[m] += 1
-                requests.append(
-                    InFlightRequest(
-                        element_index=elem[rid],
-                        address=addr[rid],
-                        module=m,
-                        is_store=store_flag[rid],
-                        issue_cycle=issue[rid],
-                        arrival_cycle=arrival[rid],
-                        start_cycle=start[rid],
-                        finish_cycle=start[rid] + service_time - 1,
-                        delivery_cycle=delivery[rid],
-                    )
-                )
             stream_runs.append(
                 StreamRun(
                     name=stream.name,
                     index=s_index,
                     port=port_of[s_index],
-                    first_issue_cycle=first_issue[s_index],
-                    last_delivery_cycle=last_delivery[s_index],
+                    # Streams issue in order: the first request
+                    # carries the stream's first issue cycle.
+                    first_issue_cycle=issue[low],
+                    last_delivery_cycle=max(delivery[low:high]),
                     issue_stall_cycles=stalls[s_index],
-                    requests=tuple(requests),
+                    requests=tuple(records[low:high]),
                     module_request_counts=tuple(counts),
                     start_cycle=stream.start_cycle,
+                    waits=waits[s_index],
                 )
             )
         # Every request is serviced for exactly ``T`` cycles, so busy
         # accounting is arithmetic, not per-cycle ticking.
         busy = tuple(
-            service_time
-            * sum(run.module_request_counts[m] for run in stream_runs)
-            for m in range(module_count)
+            service_time * sum(column)
+            for column in zip(
+                *(run.module_request_counts for run in stream_runs)
+            )
         )
         run = KernelRun(
             streams=tuple(stream_runs),
             total_cycles=cycle,
             ports=ports,
-            bus_busy_cycles=bus_busy,
+            bus_busy_cycles=sum(port_issues),
             bus_held_result=bus_held,
             module_busy_cycles=busy,
             port_issue_cycles=tuple(port_issues),
@@ -645,24 +648,3 @@ class MemoryKernel:
         if previous is not None:
             tracer.counter("memory/in flight", "in_flight", previous, level)
 
-
-class _ModuleShim:
-    """Adapter presenting kernel flat state through the
-    :class:`~repro.memory.module.MemoryModule` result-side interface,
-    so custom :class:`~repro.memory.arbiter.ResultArbiter` policies keep
-    working against the kernel."""
-
-    __slots__ = ("_out_q", "index")
-
-    def __init__(self, out_q: list[deque[tuple[int, int]]], index: int):
-        self._out_q = out_q
-        self.index = index
-
-    def peek_deliverable(self, cycle: int) -> tuple[int, int] | None:
-        queue = self._out_q[self.index]
-        if not queue:
-            return None
-        ready, rid = queue[0]
-        if ready > cycle:
-            return None
-        return ready, rid

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import SimulationError
-from repro.memory.arbiter import ResultArbiter
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelRun, MemoryKernel
 
@@ -109,15 +108,8 @@ class MultiStreamMemorySystem:
         port with background traffic).
     """
 
-    def __init__(
-        self,
-        config: MemoryConfig,
-        policy: str = "round_robin",
-        arbiter: ResultArbiter | None = None,
-    ):
-        self.kernel = MemoryKernel(
-            config, ports=1, policy=policy, arbiter=arbiter
-        )
+    def __init__(self, config: MemoryConfig, policy: str = "round_robin"):
+        self.kernel = MemoryKernel(config, ports=1, policy=policy)
         self.config = config
         self.policy = policy
 

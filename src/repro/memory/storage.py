@@ -1,10 +1,13 @@
-"""Backing store: actual data behind the (module, displacement) mapping.
+"""Backing store: the actual data behind the simulated memory.
 
 The latency results of the paper depend only on module numbers, but the
-decoupled-processor examples move real data, and storing values through
-the two-dimensional mapping doubles as a continuous check that every
-mapping is a genuine bijection (two addresses colliding on the same cell
-would corrupt a value and fail the end-to-end tests).
+decoupled-processor examples move real data.  The store keys each word
+by its reduced address, so a read or write is one mask and one dict
+operation; the ``(module, displacement)`` cell is computed only to name
+it in the error for an uninitialised read and for :meth:`occupancy`.
+That every mapping is a genuine bijection onto ``module x
+displacement`` is checked at the mapping level, by the injectivity
+property in ``tests/mappings/test_base.py``.
 """
 
 from __future__ import annotations
@@ -14,18 +17,16 @@ from repro.mappings.base import AddressMapping
 
 
 class MemoryStore:
-    """Word-addressable data store organised as the mapping dictates."""
+    """Word-addressable data store over a mapping's address space."""
 
     def __init__(self, mapping: AddressMapping):
         self.mapping = mapping
-        self._cells: list[dict[int, float]] = [
-            {} for _ in range(mapping.module_count)
-        ]
+        self._mask = mapping.address_mask
+        self._cells: dict[int, float] = {}
 
     def write(self, address: int, value: float) -> None:
         """Store ``value`` at ``address`` (reduced into the address space)."""
-        module, displacement = self.mapping.map(self.mapping.reduce(address))
-        self._cells[module][displacement] = value
+        self._cells[address & self._mask] = value
 
     def read(self, address: int) -> float:
         """Load the value at ``address``.
@@ -36,10 +37,10 @@ class MemoryStore:
             If the cell was never written — surfacing use-before-define
             bugs in example programs instead of silently returning zeros.
         """
-        module, displacement = self.mapping.map(self.mapping.reduce(address))
         try:
-            return self._cells[module][displacement]
+            return self._cells[address & self._mask]
         except KeyError:
+            module, displacement = self.mapping.map(address & self._mask)
             raise SimulationError(
                 f"read of uninitialised address {address} "
                 f"(module {module}, displacement {displacement})"
@@ -47,8 +48,9 @@ class MemoryStore:
 
     def write_vector(self, base: int, stride: int, values) -> None:
         """Bulk store: ``values[i]`` at ``base + i * stride``."""
+        cells, mask = self._cells, self._mask
         for i, value in enumerate(values):
-            self.write(base + i * stride, value)
+            cells[(base + i * stride) & mask] = value
 
     def read_vector(self, base: int, stride: int, length: int) -> list[float]:
         """Bulk load of a constant-stride vector."""
@@ -56,4 +58,7 @@ class MemoryStore:
 
     def occupancy(self) -> list[int]:
         """Number of written cells per module (storage balance check)."""
-        return [len(cells) for cells in self._cells]
+        counts = [0] * self.mapping.module_count
+        for address in self._cells:
+            counts[self.mapping.module_of(address)] += 1
+        return counts

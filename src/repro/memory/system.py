@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 
 from repro.core.planner import AccessPlan
 from repro.errors import SimulationError
-from repro.memory.arbiter import ResultArbiter
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelRun, KernelStream, MemoryKernel
 from repro.memory.module import InFlightRequest
@@ -125,9 +124,8 @@ def access_result_from_run(
 class MemorySystem:
     """The multi-module memory of Figure 2, driven cycle by cycle."""
 
-    def __init__(self, config: MemoryConfig, arbiter: ResultArbiter | None = None):
+    def __init__(self, config: MemoryConfig):
         self.config = config
-        self.arbiter = arbiter
 
     def run_plan(self, plan: AccessPlan, *, tracer=None) -> AccessResult:
         """Simulate an :class:`~repro.core.planner.AccessPlan` (or any
@@ -151,7 +149,7 @@ class MemorySystem:
         """
         if not stream:
             raise SimulationError("cannot simulate an empty request stream")
-        kernel = MemoryKernel(self.config, arbiter=self.arbiter, tracer=tracer)
+        kernel = MemoryKernel(self.config, tracer=tracer)
         run = kernel.run([KernelStream.of("access", stream, stores=stores)])
         result = run.streams[0]
         return AccessResult(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -14,6 +14,9 @@ from repro.mappings.base import (
 )
 from repro.mappings.interleaved import LowOrderInterleaved
 from repro.mappings.linear import MatchedXorMapping
+from repro.mappings.matrix import XorMatrixMapping
+from repro.scenarios import registry
+from repro.scenarios.spec import ComponentSpec
 
 
 class TestIsPowerOfTwo:
@@ -97,3 +100,68 @@ class TestEmpiricalPeriod:
         # The ABC's default period() measures; spot-check consistency.
         mapping = LowOrderInterleaved(2, address_bits=12)
         assert mapping.period(0) == 4
+
+
+def every_mapping_kind(address_bits):
+    """One mapping per registered kind, plus explicit XOR matrices.
+
+    Each registered kind is built from its example parameters;
+    ``dynamic`` is a per-stride selector, so it contributes the mapping
+    it picks for a few stride families.
+    """
+    mappings = {}
+    for kind in registry.kinds(registry.MAPPING):
+        params = registry.example_params(registry.MAPPING, kind)
+        if kind == "pseudo-random":
+            params["window_bits"] = address_bits
+        built = registry.build(
+            registry.MAPPING,
+            ComponentSpec.of(kind, **params),
+            address_bits=address_bits,
+        )
+        if kind == "dynamic":
+            for stride in (1, 6, 40):
+                mappings[f"dynamic-stride{stride}"] = (
+                    built.mapping_for_stride(stride)
+                )
+        else:
+            mappings[kind] = built
+    mappings["xor-matrix-section"] = XorMatrixMapping.from_section(
+        3, 4, 9, address_bits
+    )
+    mappings["xor-matrix-dense"] = XorMatrixMapping(
+        [0b101101, 0b1100110, 0b10011001011], address_bits
+    )
+    return mappings
+
+
+SMALL_SPACE = every_mapping_kind(12)
+FULL_SPACE = every_mapping_kind(32)
+
+
+class TestInjectivity:
+    """``map`` is a bijection of the address space onto ``module x
+    displacement`` for every mapping kind: no two addresses share a
+    cell, so data stored through a mapping can never be corrupted."""
+
+    @pytest.mark.parametrize("name", sorted(SMALL_SPACE))
+    def test_whole_small_space_injective(self, name):
+        mapping = SMALL_SPACE[name]
+        cells = {mapping.map(address) for address in range(mapping.address_space)}
+        assert len(cells) == mapping.address_space
+        assert {module for module, _ in cells} == set(range(mapping.module_count))
+
+    @pytest.mark.parametrize("name", sorted(FULL_SPACE))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        first=st.integers(min_value=0, max_value=2**32 - 1),
+        second=st.integers(min_value=0, max_value=2**32 - 1),
+        wraps=st.integers(min_value=-3, max_value=3),
+    )
+    def test_distinct_addresses_distinct_cells(self, name, first, second, wraps):
+        mapping = FULL_SPACE[name]
+        if first != second:
+            assert mapping.map(first) != mapping.map(second)
+        assert mapping.map(first + wraps * mapping.address_space) == mapping.map(
+            first
+        )

@@ -5,8 +5,10 @@ multi-stream, multi-port).  The strongest guarantee we can give is
 cycle-for-cycle equivalence against a *reference implementation* — a
 direct transcription of the legacy loops driving the unchanged
 :class:`~repro.memory.module.MemoryModule` state machine — over the
-seed workloads: every request's issue/arrival/start/finish/delivery
-cycle, every stall counter and every busy counter must match exactly.
+seed workloads and over generated geometries, buffer depths, port
+counts, policies and conflicting streams: every request's
+issue/arrival/start/finish/delivery cycle, every stall counter and
+every busy counter must match exactly.
 
 On top of that, property tests pin the degenerate geometry to the
 paper: ``ports = 1, streams = 1`` with a conflict-free access is
@@ -16,13 +18,12 @@ exactly the ``T + L + 1`` latency formula.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.arbiter import FifoArbiter
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
 from repro.memory.module import InFlightRequest, MemoryModule
@@ -79,7 +80,6 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
     bus_held = False
     cycle = 0
     guard = (total + 2) * (config.service_ratio + 2) + 64
-    arbiters = [FifoArbiter() for _ in range(ports)]
 
     while delivered < total:
         cycle += 1
@@ -120,11 +120,16 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
             if module.peek_deliverable(cycle) is not None
         ]
         grants = 0
-        for arbiter in arbiters:
-            granted = arbiter.grant(modules, cycle)
-            if granted is None:
+        for _port in range(ports):
+            # Oldest-first grant: ready cycle, then module index.
+            heads = [
+                (module.output_queue[0][0], module.index)
+                for module in modules
+                if module.peek_deliverable(cycle) is not None
+            ]
+            if not heads:
                 break
-            request = modules[granted].pop_deliverable()
+            request = modules[min(heads)[1]].pop_deliverable()
             request.delivery_cycle = cycle
             stream_index = owner_of.pop(id(request))
             last_delivery[stream_index] = max(
@@ -266,6 +271,114 @@ class TestMultiPortEquivalence:
             assert stream_result.issue_stall_cycles == reference["stalls"][index]
             assert stream_result.first_issue_cycle == reference["first_issue"][index]
             assert stream_result.last_delivery_cycle == reference["last_delivery"][index]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random geometry plus 1-3 streams of arbitrary addresses.
+
+    ``t = 0`` gives ``T = 1``, where a module starts and finishes a
+    request in the same cycle; addresses come from a small window so
+    streams collide in modules and queues.
+    """
+    t = draw(st.integers(min_value=0, max_value=4))
+    input_capacity = draw(st.integers(min_value=1, max_value=3))
+    output_capacity = draw(st.integers(min_value=1, max_value=3))
+    if t >= 1 and draw(st.booleans()):
+        config = MemoryConfig.unmatched(
+            t, t, 2 * t, input_capacity, output_capacity
+        )
+    else:
+        config = MemoryConfig.matched(
+            t, t + 1, input_capacity, output_capacity
+        )
+    ports = draw(
+        st.integers(min_value=1, max_value=min(3, config.module_count))
+    )
+    policy = draw(st.sampled_from(["round_robin", "priority"]))
+    # A small pool of addresses piles streams onto a few modules; the
+    # wide range spreads them.
+    pool = draw(
+        st.lists(
+            st.integers(min_value=-16, max_value=255), min_size=1, max_size=4
+        )
+    )
+    address = st.one_of(
+        st.sampled_from(pool), st.integers(min_value=-16, max_value=255)
+    )
+    streams = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        addresses = draw(st.lists(address, min_size=1, max_size=24))
+        stores = draw(
+            st.frozensets(
+                st.integers(min_value=0, max_value=len(addresses) - 1)
+            )
+        )
+        streams.append((tuple(enumerate(addresses)), stores))
+    return config, ports, policy, streams
+
+
+def blocking_case(ports, policy, *address_lists):
+    """Unmatched ``T = 2``, ``q = 3``, ``q' = 1``: deep input queues
+    on a hot module, then result-bus contention, leave a finished
+    result blocked on ``q'`` while requests wait behind it.  Random
+    cases reach that state about once in two thousand."""
+    config = MemoryConfig.unmatched(1, 1, 2, 3, 1)
+    streams = [
+        (tuple(enumerate(addresses)), frozenset())
+        for addresses in address_lists
+    ]
+    return config, ports, policy, streams
+
+
+class TestDifferentialAgainstReference:
+    """The kernel equals the reference loop request by request over
+    generated geometries, buffer depths, port counts and policies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=kernel_cases())
+    @example(
+        case=blocking_case(
+            1,
+            "round_robin",
+            [139, 244, 244, 244, 244, 227, 47, 244, 119, -10, 10, 37, 152,
+             118, 228, 228, 181, 244, 177, 244, 244, 244, 242],
+        )
+    )
+    @example(
+        case=blocking_case(
+            1,
+            "round_robin",
+            [228, 17, 113, 126, 149, 126, 204, 113, 113, 113, 126, 29],
+            [113, 113, 126, 126, 252, 126, 129, 126, 126, 103, 113],
+        )
+    )
+    def test_matches_reference(self, case):
+        config, ports, policy, streams = case
+        reference = reference_run(config, streams, ports=ports, policy=policy)
+        run = MemoryKernel(config, ports=ports, policy=policy).run(
+            [
+                KernelStream.of(f"s{index}", stream, stores=stores)
+                for index, (stream, stores) in enumerate(streams)
+            ]
+        )
+        assert run.total_cycles == reference["total_cycles"]
+        assert run.bus_busy_cycles == reference["bus_busy"]
+        assert run.bus_held_result == reference["bus_held"]
+        assert list(run.module_busy_cycles) == reference["module_busy"]
+        for index, stream in enumerate(run.streams):
+            expected = reference["requests"][index]
+            assert timing_tuples(stream.requests) == timing_tuples(expected)
+            assert [r.is_store for r in stream.requests] == [
+                r.is_store for r in expected
+            ]
+            assert stream.issue_stall_cycles == reference["stalls"][index]
+            assert stream.first_issue_cycle == reference["first_issue"][index]
+            assert (
+                stream.last_delivery_cycle
+                == reference["last_delivery"][index]
+            )
+            assert stream.wait_count == sum(1 for r in expected if r.waited)
 
 
 class TestDegenerateGeometry:

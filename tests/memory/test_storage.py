@@ -1,4 +1,8 @@
-"""Tests for the backing store (and, implicitly, mapping bijectivity)."""
+"""Tests for the backing store.
+
+That every mapping is a bijection onto ``(module, displacement)`` is
+checked at the mapping level (``tests/mappings/test_base.py``).
+"""
 
 from __future__ import annotations
 
@@ -21,7 +25,9 @@ class TestReadWrite:
 
     def test_uninitialised_read_raises(self):
         store = MemoryStore(MatchedXorMapping(3, 4))
-        with pytest.raises(SimulationError):
+        with pytest.raises(
+            SimulationError, match=r"42 \(module 0, displacement 5\)"
+        ):
             store.read(42)
 
     def test_overwrite(self):
@@ -50,9 +56,9 @@ class TestVectorHelpers:
         assert store.read(994) == 3.0
 
 
-class TestBijectivityViaStorage:
-    """Two addresses colliding on a (module, displacement) cell would
-    corrupt data — exercised over dense ranges for every mapping kind."""
+class TestDenseRoundTrip:
+    """Every word of a dense range, or of a random address set, reads
+    back what was written to it, whatever the mapping."""
 
     @pytest.mark.parametrize(
         "mapping",
@@ -87,3 +93,13 @@ class TestOccupancy:
         store = MemoryStore(MatchedXorMapping(3, 4))
         store.write_vector(0, 1, [0.0] * 128)
         assert store.occupancy() == [16] * 8
+
+    def test_occupancy_counts_cells_per_module(self):
+        mapping = MatchedXorMapping(3, 4)
+        store = MemoryStore(mapping)
+        for address in (0, 8, 16, 17, 1 << 40):
+            store.write(address, 1.0)
+        expected = [0] * 8
+        for address in {0, 8, 16, 17}:  # 1 << 40 wraps onto address 0
+            expected[mapping.module_of(address)] += 1
+        assert store.occupancy() == expected

@@ -7,7 +7,6 @@ import pytest
 from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.errors import SimulationError
-from repro.memory.arbiter import RoundRobinArbiter
 from repro.memory.config import MemoryConfig
 from repro.memory.system import MemorySystem
 
@@ -106,18 +105,6 @@ class TestBuffering:
                 )
                 result = system.run_plan(plan)
                 assert result.latency <= 2 * 8 + 128, (family, base)
-
-
-class TestArbiters:
-    def test_round_robin_same_latency_for_conflict_free(
-        self, matched_planner, matched_config
-    ):
-        plan = matched_planner.plan(VectorAccess(16, 12, 128))
-        fifo_result = MemorySystem(matched_config).run_plan(plan)
-        rr_result = MemorySystem(
-            matched_config, arbiter=RoundRobinArbiter()
-        ).run_plan(plan)
-        assert fifo_result.latency == rr_result.latency == 137
 
 
 class TestStores:
