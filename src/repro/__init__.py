@@ -55,9 +55,9 @@ Module map
   specs (machine + workload *or* whole program) + the ``simulate()``
   facade over all of the above and design-point diffing;
 * :mod:`repro.batch` — the batch design-point evaluation engine:
-  a closed-form analytic fast path for conflict-free planner points
-  plus a struct-of-arrays batched kernel (numpy-accelerated when
-  available, pure-stdlib otherwise) and a fallback tier shardable
+  a closed-form analytic fast path for conflict-free planner points,
+  a middle tier that runs conflict-prone points through the memory
+  kernel's aggregate-only entry point, and a fallback tier shardable
   over a process pool (``--batch-workers``), selectable as
   ``--engine batch`` wherever grids run, with sampled re-validation
   against the per-point kernel.  The hot path is memoized underneath:

@@ -2,20 +2,21 @@
 
 Two tiers above the per-point simulator: an analytic fast path that
 answers conflict-free planner-drive points with the paper's closed-form
-``T + L + 1`` arithmetic (no simulation), and a struct-of-arrays
-batched kernel that simulates the remaining planner-drive points
-together under a shared event-skip horizon.  Points neither tier can
-claim fall back to :func:`repro.scenarios.simulate`, so every spec the
-per-point engine accepts evaluates identically here — same fields,
-same artifacts, same cache keys.  The fallback tier shards over a
+``T + L + 1`` arithmetic (no simulation), and a middle tier that runs
+each remaining planner-drive access's module sequence through the
+memory kernel's aggregate-only entry point
+(:meth:`~repro.memory.kernel.MemoryKernel.run_aggregate`: the same
+cycles, no address reduction or per-request records).  Points neither
+tier can claim fall back to :func:`repro.scenarios.simulate`, so every
+spec the per-point engine accepts evaluates identically here — same
+fields, same artifacts, same cache keys.  The fallback tier shards over a
 process pool when asked (``workers=`` / ``--batch-workers``); see
 :mod:`repro.batch.fallback`.
 
 Entry points: :func:`repro.scenarios.simulate_grid` (and ``repro
 scenario run --engine batch``) for direct evaluation, and
 :class:`BatchBackend` (``repro lab run|sweep --engine batch``) for
-cached lab batches.  Optional numpy acceleration is feature-detected
-and never required (:mod:`repro.batch._accel`).
+cached lab batches.  Every tier is pure standard library.
 """
 
 from repro.batch.analytic import analytic_result

@@ -40,9 +40,7 @@ from repro.scenarios.spec import ScenarioSpec
 __all__ = ["analytic_result"]
 
 
-def analytic_result(
-    spec: ScenarioSpec, *, use_numpy: bool | None = None
-) -> ScenarioResult | None:
+def analytic_result(spec: ScenarioSpec) -> ScenarioResult | None:
     """The spec's exact metrics without simulation, or ``None``.
 
     A returned result is field-for-field identical to what
@@ -53,5 +51,5 @@ def analytic_result(
     """
     from repro.batch.prepare import prepare_point
 
-    point = prepare_point(spec, use_numpy=use_numpy)
+    point = prepare_point(spec)
     return point.result if point.kind == "analytic" else None

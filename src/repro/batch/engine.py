@@ -7,9 +7,12 @@ through a three-way partition:
   conflict-free take the closed-form ``T + L + 1`` fast path
   (:mod:`repro.batch.analytic`): no simulation at all;
 * **soa** — remaining planner-drive points (conflict-prone strides,
-  indexed accesses) are simulated together by the struct-of-arrays
-  batched kernel (:mod:`repro.batch.soa`) under one shared event-skip
-  horizon;
+  indexed accesses) run each access's module sequence through the
+  memory kernel's aggregate-only entry point
+  (:meth:`~repro.memory.kernel.MemoryKernel.run_aggregate`), which
+  skips address reduction and per-request records; the tier keeps its
+  historical name in :attr:`BatchReport.soa_count` and the manifests'
+  ``batch_soa`` counter;
 * **fallback** — figure6/decoupled/program drives carry engine-specific
   extras and run through the ordinary per-point
   :func:`repro.scenarios.simulate`; ``workers=`` shards them over a
@@ -37,9 +40,10 @@ from typing import Iterator, Sequence
 
 from repro.batch.fallback import resolve_fallback_workers, run_fallback_tier
 from repro.batch.prepare import prepare_point
-from repro.batch.soa import SoaRunSpec, simulate_runs
 from repro.core.planner import plan_cache_stats
 from repro.errors import SimulationError
+from repro.memory.config import MemoryConfig
+from repro.memory.kernel import AggregateRun, MemoryKernel
 from repro.scenarios.facade import ScenarioResult, _aggregate, simulate
 from repro.scenarios.spec import ScenarioSpec
 
@@ -76,6 +80,17 @@ class BatchReport:
     plan_cache_misses: int = 0
 
 
+def simulate_runs(
+    runs: Sequence[tuple[MemoryConfig, Sequence[int]]],
+) -> list[AggregateRun]:
+    """The middle tier: each ``(config, modules)`` run through the
+    kernel's aggregate-only entry point; results in input order."""
+    return [
+        MemoryKernel(config).run_aggregate(modules)
+        for config, modules in runs
+    ]
+
+
 def _validation_sample(count: int, size: int) -> list[int]:
     """``count`` indices spread evenly over ``range(size)``."""
     count = min(count, size)
@@ -105,7 +120,6 @@ def evaluate_batch(
     specs: Sequence[ScenarioSpec],
     *,
     validate: int = 0,
-    use_numpy: bool | None = None,
     on_error: str = "raise",
     workers: int | None = None,
 ) -> BatchReport:
@@ -118,7 +132,7 @@ def evaluate_batch(
     failures per job, like :class:`BatchBackend`) instead of raising.
     ``workers`` shards the fallback tier over that many worker
     processes (``None``/1 = serial, 0 = one per CPU); the analytic and
-    SoA tiers, validation, and result ordering are unaffected, so the
+    soa tiers, validation, and result ordering are unaffected, so the
     report is identical for any worker count.
     """
     if on_error not in ("raise", "capture"):
@@ -127,10 +141,10 @@ def evaluate_batch(
     cache_before = plan_cache_stats()
     specs = list(specs)
     prepared: list[tuple[str, object]] = []
-    soa_runs: list[SoaRunSpec] = []
+    soa_runs: list[tuple[MemoryConfig, Sequence[int]]] = []
     for spec in specs:
         try:
-            point = prepare_point(spec, use_numpy=use_numpy)
+            point = prepare_point(spec)
         except Exception as error:
             if on_error == "raise":
                 raise
@@ -140,13 +154,15 @@ def evaluate_batch(
             prepared.append(("analytic", point.result))
         elif point.kind == "soa":
             start = len(soa_runs)
-            soa_runs.extend(run for _scheme, run in point.planned)
-            schemes = [scheme for scheme, _run in point.planned]
+            soa_runs.extend(
+                (point.config, modules) for _scheme, modules in point.planned
+            )
+            schemes = [scheme for scheme, _modules in point.planned]
             prepared.append(("soa", (point.config, schemes, start)))
         else:
             prepared.append(("fallback", None))
 
-    soa_results = simulate_runs(soa_runs, use_numpy=use_numpy)
+    soa_results = simulate_runs(soa_runs)
 
     fallback_indices = [
         index
@@ -229,11 +245,9 @@ class BatchBackend:
         self,
         *,
         validate: int = 0,
-        use_numpy: bool | None = None,
         workers: int | None = None,
     ):
         self.validate = validate
-        self.use_numpy = use_numpy
         self.workers = workers
         self._metrics: dict[str, int] = {}
 
@@ -264,7 +278,6 @@ class BatchBackend:
         report = evaluate_batch(
             [spec for _job, spec in batched],
             validate=self.validate,
-            use_numpy=self.use_numpy,
             on_error="capture",
             workers=self.workers,
         )

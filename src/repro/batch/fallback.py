@@ -1,6 +1,6 @@
 """Sharded execution of the batch engine's fallback tier.
 
-The analytic and SoA tiers answer planner-drive points wholesale, but
+The analytic and soa tiers answer planner-drive points wholesale, but
 figure6/decoupled/program points still run the ordinary per-point
 :func:`repro.scenarios.simulate` — serially, until this module.
 :func:`run_fallback_tier` chunks those points across a process pool,

@@ -26,14 +26,6 @@ necessary to *decide* a design point:
   truly matched memory a conflict-free access is exactly uniform —
   ``L / T`` requests per module — with no per-element work at all.
 
-* **Canonical sequences vectorise.**  The four closed-form mappings
-  (low-order, field-interleaved, matched XOR, section XOR, plus the
-  skew rotation) are a handful of shifts and masks, so the canonical
-  temporal distribution of a whole access is one numpy expression;
-  :func:`canonical_modules` falls back to the stdlib
-  ``module_sequence`` loop when numpy is absent or the addresses do
-  not fit the int64 fast path.
-
 ``tests/batch/test_fastpath.py`` pins every shortcut against the real
 planner across a broad geometry sweep.
 """
@@ -42,24 +34,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.batch._accel import _np, numpy_enabled
 from repro.core.distributions import is_conflict_free
 from repro.core.vector import VectorAccess
 from repro.mappings.base import AddressMapping
-from repro.mappings.interleaved import FieldInterleaved, LowOrderInterleaved
 from repro.mappings.linear import MatchedXorMapping
 from repro.mappings.section import SectionXorMapping
-from repro.mappings.skewed import SkewedMapping
 
 __all__ = [
     "canonical_modules",
     "cf_order_feasible",
     "modules_conflict_free",
 ]
-
-#: Largest magnitude an int64 address computation may reach; anything
-#: bigger drops to the arbitrary-precision stdlib path.
-_INT64_SAFE = 1 << 62
 
 
 def cf_order_feasible(
@@ -106,70 +91,19 @@ def cf_order_feasible(
 
 
 def canonical_modules(
-    mapping: AddressMapping, access: VectorAccess, *, use_numpy: bool | None = None
+    mapping: AddressMapping, access: VectorAccess
 ) -> Sequence[int]:
-    """Canonical temporal distribution of ``access`` under ``mapping``.
-
-    Identical values to ``mapping.module_sequence(base, stride, length)``;
-    returns an int64 ndarray when the numpy fast path applies.
-    """
-    if numpy_enabled(use_numpy):
-        modules = _vectorized_modules(mapping, access)
-        if modules is not None:
-            return modules
+    """Canonical temporal distribution of ``access`` under ``mapping``:
+    ``mapping.module_sequence(base, stride, length)``."""
     return mapping.module_sequence(access.base, access.stride, access.length)
 
 
-def _vectorized_modules(mapping: AddressMapping, access: VectorAccess):
-    """The numpy expression for one mapping kind, or ``None``."""
-    if mapping.address_bits > 62:
-        return None
-    if abs(access.base) + abs(access.stride) * access.length >= _INT64_SAFE:
-        return None
-    kind = type(mapping)
-    if kind not in (
-        LowOrderInterleaved,
-        FieldInterleaved,
-        MatchedXorMapping,
-        SectionXorMapping,
-        SkewedMapping,
-    ):
-        return None
-    index = _np.arange(access.length, dtype=_np.int64)
-    address = (access.base + access.stride * index) & (mapping.address_space - 1)
-    module_mask = mapping.module_count - 1
-    if kind is LowOrderInterleaved:
-        return address & module_mask
-    if kind is FieldInterleaved:
-        return (address >> mapping.s) & module_mask
-    if kind is MatchedXorMapping:
-        return (address & module_mask) ^ ((address >> mapping.s) & module_mask)
-    if kind is SkewedMapping:
-        return (address + mapping.distance * (address >> mapping.s)) & module_mask
-    field_mask = (1 << mapping.t) - 1
-    low = (address & field_mask) ^ ((address >> mapping.s) & field_mask)
-    return (((address >> mapping.y) & field_mask) << mapping.t) | low
-
-
-def modules_conflict_free(
-    modules: Sequence[int], service_ratio: int, *, use_numpy: bool | None = None
-) -> bool:
-    """Section 2 conflict-freedom of a module sequence, vectorised.
+def modules_conflict_free(modules: Sequence[int], service_ratio: int) -> bool:
+    """Section 2 conflict-freedom of a module sequence.
 
     Same verdict as :func:`repro.core.distributions.is_conflict_free`:
     every ``T`` consecutive requests hit ``T`` distinct modules.
     """
     if service_ratio <= 1:
         return True
-    if numpy_enabled(use_numpy) and isinstance(modules, _np.ndarray):
-        if len(modules) < 2:
-            return True
-        # Stable sort groups each module's request positions in issue
-        # order; adjacent same-module positions are the only gaps the
-        # definition constrains.
-        order = _np.argsort(modules, kind="stable")
-        same = modules[order][1:] == modules[order][:-1]
-        if not bool(same.any()):
-            return True
-        return bool((_np.diff(order)[same] >= service_ratio).all())
-    return is_conflict_free(list(modules), service_ratio)
+    return is_conflict_free(modules, service_ratio)

@@ -7,7 +7,7 @@
   (the prepared result rides along);
 * ``"soa"`` — planner-drive points with at least one conflict-prone or
   indexed access carry their per-access module sequences into the
-  struct-of-arrays kernel;
+  kernel's aggregate-only entry point;
 * ``"fallback"`` — programs and the figure6/decoupled drives, which
   need the per-point engines.
 
@@ -25,18 +25,18 @@ constructors run in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.batch._accel import module_histogram
 from repro.batch.fastpath import (
     canonical_modules,
     cf_order_feasible,
     modules_conflict_free,
 )
-from repro.batch.soa import SoaRunSpec
 from repro.core.gather import IndexedAccess, plan_indexed
 from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.mappings.linear import MatchedXorMapping
+from repro.memory.kernel import module_histogram
 from repro.scenarios.components import PlannerDrive
 from repro.scenarios.facade import (
     ScenarioResult,
@@ -55,14 +55,14 @@ class PreparedPoint:
 
     ``kind`` is ``"analytic"`` (``result`` holds the finished
     :class:`ScenarioResult`), ``"soa"`` (``config`` and ``planned`` —
-    ``(scheme, SoaRunSpec)`` per access — feed the batched kernel) or
+    ``(scheme, issue-order modules)`` per access — feed the kernel) or
     ``"fallback"`` (everything ``None``; run :func:`simulate`).
     """
 
     kind: str
     result: ScenarioResult | None = None
     config: object = None
-    planned: tuple[tuple[str, SoaRunSpec], ...] = ()
+    planned: tuple[tuple[str, Sequence[int]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,11 @@ class _AccessVerdict:
     scheme: str
     conflict_free: bool
     indexed: bool = False
-    modules: object = None
+    modules: Sequence[int] | None = None
     histogram: list[int] | None = None
 
 
-def prepare_point(
-    spec: ScenarioSpec, *, use_numpy: bool | None = None
-) -> PreparedPoint:
+def prepare_point(spec: ScenarioSpec) -> PreparedPoint:
     """Classify ``spec`` and prepare whatever its tier needs.
 
     Raises exactly what :func:`repro.scenarios.simulate` would raise
@@ -101,7 +99,7 @@ def prepare_point(
     planner = AccessPlanner(config.mapping, config.t)
     accesses = workload.accesses()
     verdicts = [
-        _classify_access(planner, config, drive, access, use_numpy)
+        _classify_access(planner, config, drive, access)
         for access in accesses
     ]
     if all(v.conflict_free for v in verdicts) and not any(
@@ -109,10 +107,10 @@ def prepare_point(
     ):
         return PreparedPoint(
             "analytic",
-            result=_analytic_result(spec, config, verdicts, use_numpy),
+            result=_analytic_result(spec, config, verdicts),
         )
     planned = tuple(
-        (v.scheme, _run_spec(planner, config, drive, access, v))
+        (v.scheme, _issue_modules(planner, drive, access, v))
         for access, v in zip(accesses, verdicts)
     )
     return PreparedPoint("soa", config=config, planned=planned)
@@ -123,7 +121,6 @@ def _classify_access(
     config,
     drive: PlannerDrive,
     access,
-    use_numpy: bool | None,
 ) -> _AccessVerdict:
     """One access's scheme/verdict, via the cheapest sound route."""
     mapping = config.mapping
@@ -142,34 +139,32 @@ def _classify_access(
             return _AccessVerdict(
                 "conflict_free",
                 True,
-                histogram=_cf_histogram(mapping, access, service, use_numpy),
+                histogram=_cf_histogram(mapping, access, service),
             )
         if feasible is False:
             if mode == "conflict_free":
                 # The forced mode raises; let the planner produce the
                 # exact OrderingError simulate() would.
                 planner.plan(access, mode=mode)
-            return _canonical_verdict(mapping, access, service, use_numpy)
+            return _canonical_verdict(mapping, access, service)
     elif mode == "ordered":
-        return _canonical_verdict(mapping, access, service, use_numpy)
+        return _canonical_verdict(mapping, access, service)
     plan = planner.plan(access, mode=mode)
     return _AccessVerdict(plan.scheme, plan.conflict_free, modules=plan.modules)
 
 
 def _canonical_verdict(
-    mapping, access: VectorAccess, service: int, use_numpy: bool | None
+    mapping, access: VectorAccess, service: int
 ) -> _AccessVerdict:
-    modules = canonical_modules(mapping, access, use_numpy=use_numpy)
+    modules = canonical_modules(mapping, access)
     return _AccessVerdict(
         "canonical",
-        modules_conflict_free(modules, service, use_numpy=use_numpy),
+        modules_conflict_free(modules, service),
         modules=modules,
     )
 
 
-def _cf_histogram(
-    mapping, access: VectorAccess, service: int, use_numpy: bool | None
-) -> list[int]:
+def _cf_histogram(mapping, access: VectorAccess, service: int) -> list[int]:
     """Per-module request counts of a conflict-free access.
 
     Order-invariant, so the canonical address set serves.  A truly
@@ -178,15 +173,15 @@ def _cf_histogram(
     """
     if type(mapping) is MatchedXorMapping and mapping.module_count == service:
         return [access.length // service] * service
-    modules = canonical_modules(mapping, access, use_numpy=use_numpy)
-    return module_histogram(modules, mapping.module_count, use_numpy=use_numpy)
+    return module_histogram(
+        canonical_modules(mapping, access), mapping.module_count
+    )
 
 
 def _analytic_result(
     spec: ScenarioSpec,
     config,
     verdicts: list[_AccessVerdict],
-    use_numpy: bool | None,
 ) -> ScenarioResult:
     service = config.service_ratio
     module_count = config.module_count
@@ -199,9 +194,7 @@ def _analytic_result(
             schemes.append(verdict.scheme)
         counts = verdict.histogram
         if counts is None:
-            counts = module_histogram(
-                verdict.modules, module_count, use_numpy=use_numpy
-            )
+            counts = module_histogram(verdict.modules, module_count)
         length = sum(counts)
         latency += service + length + 1
         elements += length
@@ -224,24 +217,16 @@ def _analytic_result(
     )
 
 
-def _run_spec(
+def _issue_modules(
     planner: AccessPlanner,
-    config,
     drive: PlannerDrive,
     access,
     verdict: _AccessVerdict,
-) -> SoaRunSpec:
-    """The SoA run description for one access of a conflict-prone point."""
-    modules = verdict.modules
-    if modules is None:
-        # A conflict-free access inside a mixed workload: the kernel
-        # needs its true issue-order module sequence, so build the plan.
-        modules = planner.plan(access, mode=drive.mode).modules
-    return SoaRunSpec(
-        modules=tuple(int(module) for module in modules),
-        service_time=config.service_ratio,
-        module_count=config.module_count,
-        input_capacity=config.input_capacity,
-        output_capacity=config.output_capacity,
-        ports=config.ports,
-    )
+) -> Sequence[int]:
+    """The issue-order module sequence of one access of a
+    conflict-prone point."""
+    if verdict.modules is not None:
+        return verdict.modules
+    # A conflict-free access inside a mixed workload: the kernel needs
+    # its true issue-order module sequence, so build the plan.
+    return planner.plan(access, mode=drive.mode).modules

@@ -27,7 +27,7 @@ from repro.mappings.base import DEFAULT_ADDRESS_BITS, AddressMapping
 
 def parity(value: int) -> int:
     """Parity (XOR of all bits) of a non-negative integer."""
-    return bin(value).count("1") & 1
+    return value.bit_count() & 1
 
 
 def gf2_rank(masks: list[int]) -> int:

@@ -6,7 +6,10 @@ Module map
 * :mod:`repro.memory.kernel` — **the one memory kernel**:
   :class:`MemoryKernel` simulates M modules × ``k`` address/result
   ports × ``n`` named request streams in a single event-driven cycle
-  loop.  Every other simulator here is a view over it.
+  loop (with its own address phase and event skip for one stream), and
+  :meth:`MemoryKernel.run_aggregate` returns a single stream's
+  aggregates (:class:`AggregateRun`) without per-request records.
+  Every other simulator here is a view over it.
 * :mod:`repro.memory.system` — :class:`MemorySystem`, the classic
   single-stream view (``k = 1, n = 1``) returning
   :class:`AccessResult`.
@@ -28,6 +31,7 @@ Module map
 from repro.memory.config import MemoryConfig
 from repro.memory.events import Event, EventKind, EventLog
 from repro.memory.kernel import (
+    AggregateRun,
     KernelRun,
     KernelStream,
     MemoryKernel,
@@ -54,6 +58,7 @@ from repro.memory.trace import describe_result, render_timeline
 
 __all__ = [
     "AccessResult",
+    "AggregateRun",
     "Event",
     "EventKind",
     "EventLog",

@@ -45,13 +45,22 @@ the order they started), the set of idle modules with queued requests,
 the set of modules blocked on ``q'``, and a ``(ready, module)`` heap
 over the non-empty output queues that makes the oldest-first grant a
 heap pop.  A port bound to a single stream issues without candidate
-selection, and per-stream wait counts are taken as requests start
-service.  When a cycle passes with no issue, no grant, no service
-start and no completion, the loop jumps straight to the next scheduled
-event (service completion, result-ready edge or staggered stream
-start), accounting the skipped stall cycles arithmetically.
-``benchmarks/bench_simulator_perf.py`` and ``perfbench/run.py
---workload program-sweep`` track the resulting throughput.
+selection, and per-stream wait counts are read off the issue and start
+cycles after the loop.  When a cycle passes with no issue, no grant, no
+service start and no completion, the loop jumps straight to the next
+scheduled event (service completion, result-ready edge or staggered
+stream start), accounting the skipped stall cycles arithmetically.
+
+The paper's own case, one stream, has its own address phase and event
+skip inside the same loop: no candidate selection, rotation or per-port
+bookkeeping, and an idle cycle is skipped before it runs rather than
+after.  The input's stream count selects them; the result and module
+phases are common.
+:meth:`MemoryKernel.run_aggregate` runs a module sequence alone and
+returns only the aggregates (:class:`AggregateRun`), skipping address
+reduction and per-request records: it is the batch engine's middle
+tier.  ``benchmarks/bench_simulator_perf.py`` and ``perfbench/run.py
+--workload {program,strided}-sweep`` track the resulting throughput.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import InitVar, dataclass, field
 from heapq import heappop, heappush
+from operator import sub
 from typing import Sequence
 
 from repro.errors import ConfigurationError, SimulationError
@@ -112,8 +122,8 @@ class StreamRun:
     stream, so per-stream busy accounting (``service_ratio *
     count``) stays exact even when streams share modules.  ``waits``
     is the kernel's count of requests that queued behind a busy
-    module, taken as each request started service; when omitted it is
-    counted from ``requests``.
+    module, read off the issue and start cycles after the loop; when
+    omitted it is counted from ``requests``.
     """
 
     name: str
@@ -183,6 +193,48 @@ class KernelRun:
         return self.bus_busy_cycles / (self.total_cycles * self.ports)
 
 
+@dataclass(frozen=True)
+class AggregateRun:
+    """Aggregate outcome of one single-stream run, without per-request
+    records: what :meth:`MemoryKernel.run_aggregate` returns.
+
+    Attribute-compatible with :class:`repro.memory.system.AccessResult`
+    for everything the scenario aggregation reads (latency, stalls,
+    waits, busy cycles, conflict-freedom, element count).
+    """
+
+    latency: int
+    issue_stall_cycles: int
+    wait_count: int
+    bus_held_result: bool
+    element_count: int
+    module_busy_cycles: tuple[int, ...]
+
+    @property
+    def conflict_free(self) -> bool:
+        """The single-stream verdict: no request waited, no issue
+        stalled, and no result was held back on the result bus."""
+        return (
+            self.wait_count == 0
+            and self.issue_stall_cycles == 0
+            and not self.bus_held_result
+        )
+
+
+def module_histogram(modules: Sequence[int], module_count: int) -> list[int]:
+    """Requests per module."""
+    counts = [0] * module_count
+    for module in modules:
+        counts[module] += 1
+    return counts
+
+
+def wait_count(issue: Sequence[int], start: Sequence[int]) -> int:
+    """Requests that did not start service the cycle they arrived
+    (the cycle after their issue)."""
+    return len(issue) - list(map(sub, start, issue)).count(1)
+
+
 class MemoryKernel:
     """Cycle-level simulator of M modules fed by k ports and n streams.
 
@@ -246,6 +298,41 @@ class MemoryKernel:
         kernel_streams = self._normalise(streams)
         return self._simulate(kernel_streams)
 
+    def run_aggregate(self, modules: Sequence[int]) -> AggregateRun:
+        """Simulate one stream given as the module of each request.
+
+        The same cycles as :meth:`run` on a single stream whose
+        requests map to ``modules`` in issue order, but with no address
+        reduction, no :class:`InFlightRequest` records and no trace
+        events: only the aggregates come back.
+        """
+        module_count = self.config.module_count
+        total = len(modules)
+        if not total:
+            raise SimulationError("need at least one non-empty stream")
+        if min(modules) < 0 or max(modules) >= module_count:
+            raise ConfigurationError(
+                f"module numbers must be in [0, {module_count}), got "
+                f"{min(modules)}..{max(modules)}"
+            )
+        issue = [0] * total
+        start = [0] * total
+        cycle, stalls, bus_held, _ = self._cycle_loop(
+            modules, [0, total], [0], [1], issue, start, [0] * total
+        )
+        service_time = self.config.service_ratio
+        return AggregateRun(
+            latency=cycle,
+            issue_stall_cycles=stalls[0],
+            wait_count=wait_count(issue, start),
+            bus_held_result=bus_held,
+            element_count=total,
+            module_busy_cycles=tuple(
+                service_time * count
+                for count in module_histogram(modules, module_count)
+            ),
+        )
+
     # -- stream validation ---------------------------------------------
 
     def _normalise(self, streams) -> list[KernelStream]:
@@ -289,18 +376,14 @@ class MemoryKernel:
                 )
         return normalised
 
-    # -- the cycle loop -------------------------------------------------
+    # -- the cycle loops ------------------------------------------------
 
     def _simulate(self, kernel_streams: list[KernelStream]) -> KernelRun:
         config = self.config
         mapping = config.mapping
         service_time = config.service_ratio
         module_count = config.module_count
-        input_capacity = config.input_capacity
-        output_capacity = config.output_capacity
         ports = self.ports
-        round_robin = self.policy == "round_robin"
-        stream_count = len(kernel_streams)
 
         # Flat request state, indexed by request id (rid).  Stream ``s``
         # owns the contiguous rids ``bounds[s] .. bounds[s + 1] - 1``.
@@ -308,9 +391,8 @@ class MemoryKernel:
         elem: list[int] = []
         addr: list[int] = []
         store_flag: list[bool] = []
-        stream_of: list[int] = []
         bounds = [0]
-        for s_index, stream in enumerate(kernel_streams):
+        for stream in kernel_streams:
             requests = stream.requests
             stores = stream.stores
             elem += [element for element, _ in requests]
@@ -318,14 +400,122 @@ class MemoryKernel:
             store_flag += [
                 position in stores for position in range(len(requests))
             ]
-            stream_of += [s_index] * len(requests)
             bounds.append(len(elem))
         mod = list(map(mapping.module_of, addr))
         total = len(elem)
         issue = [0] * total
-        arrival = [0] * total
         start = [0] * total
         delivery = [0] * total
+        port_of = [
+            stream.port if stream.port is not None else index % ports
+            for index, stream in enumerate(kernel_streams)
+        ]
+
+        cycle, stalls, bus_held, port_issues = self._cycle_loop(
+            mod,
+            bounds,
+            port_of,
+            [stream.start_cycle for stream in kernel_streams],
+            issue,
+            start,
+            delivery,
+        )
+
+        # Materialise the timing records and per-stream summaries.
+        arrival = [issued + 1 for issued in issue]
+        finish = [started + service_time - 1 for started in start]
+        records = list(
+            map(
+                InFlightRequest,
+                elem,
+                addr,
+                mod,
+                store_flag,
+                issue,
+                arrival,
+                start,
+                finish,
+                delivery,
+            )
+        )
+        stream_runs: list[StreamRun] = []
+        for s_index, stream in enumerate(kernel_streams):
+            low, high = bounds[s_index], bounds[s_index + 1]
+            stream_runs.append(
+                StreamRun(
+                    name=stream.name,
+                    index=s_index,
+                    port=port_of[s_index],
+                    # Streams issue in order: the first request
+                    # carries the stream's first issue cycle.
+                    first_issue_cycle=issue[low],
+                    last_delivery_cycle=max(delivery[low:high]),
+                    issue_stall_cycles=stalls[s_index],
+                    requests=tuple(records[low:high]),
+                    module_request_counts=tuple(
+                        module_histogram(mod[low:high], module_count)
+                    ),
+                    start_cycle=stream.start_cycle,
+                    waits=wait_count(issue[low:high], start[low:high]),
+                )
+            )
+        # Every request is serviced for exactly ``T`` cycles, so busy
+        # accounting is arithmetic, not per-cycle ticking.
+        busy = tuple(
+            service_time * sum(column)
+            for column in zip(
+                *(run.module_request_counts for run in stream_runs)
+            )
+        )
+        run = KernelRun(
+            streams=tuple(stream_runs),
+            total_cycles=cycle,
+            ports=ports,
+            bus_busy_cycles=sum(port_issues),
+            bus_held_result=bus_held,
+            module_busy_cycles=busy,
+            port_issue_cycles=tuple(port_issues),
+        )
+        if self.tracer.enabled:
+            self._emit_trace(run)
+        return run
+
+    def _cycle_loop(
+        self,
+        mod: Sequence[int],
+        bounds: list[int],
+        port_of: list[int],
+        starts: list[int],
+        issue: list[int],
+        start: list[int],
+        delivery: list[int],
+    ) -> tuple[int, list[int], bool, list[int]]:
+        """The cycle loop.
+
+        Stream ``s`` owns the rids ``bounds[s] .. bounds[s + 1] - 1``,
+        issues on port ``port_of[s]`` and becomes visible to its port at
+        cycle ``starts[s]``.  Fills ``issue``, ``start`` and
+        ``delivery`` (indexed by rid) and returns ``(total_cycles,
+        stalls, bus_held, port_issues)``: stalls per stream, issues per
+        port.
+
+        One stream, the paper's own case, takes its own address phase
+        and event skip: no candidate selection, rotation or per-port
+        bookkeeping, and a cycle is skipped before it runs once it is
+        known to do nothing.  Several streams run every cycle that
+        moves something and skip after a cycle in which nothing moved.
+        The result and module phases are common to both.
+        """
+        config = self.config
+        service_time = config.service_ratio
+        module_count = config.module_count
+        input_capacity = config.input_capacity
+        output_capacity = config.output_capacity
+        ports = self.ports
+        round_robin = self.policy == "round_robin"
+        stream_count = len(starts)
+        single = stream_count == 1
+        total = len(mod)
 
         # Flat per-module state.  ``occupant`` is the request a module
         # is serving, or holding finished behind a full output queue.
@@ -345,25 +535,22 @@ class MemoryKernel:
         ready_heap: list[tuple[int, int]] = []
 
         # Per-stream and per-port bookkeeping.
-        port_of = [
-            stream.port if stream.port is not None else index % ports
-            for index, stream in enumerate(kernel_streams)
-        ]
         port_members: list[list[int]] = [[] for _ in range(ports)]
         for index, port in enumerate(port_of):
             port_members[port].append(index)
-        starts = [stream.start_cycle for stream in kernel_streams]
         cursors = bounds[:-1]  # each stream's next rid to issue
         ends = bounds[1:]
         stalls = [0] * stream_count
-        waits = [0] * stream_count
+        cursor = stall_count = 0  # the same, for one stream
         rotation = [0] * ports
         port_issues = [0] * ports
 
         delivered = 0
         bus_held = False
-        cycle = 0
         guard = (total + 2) * (service_time + 2) + 64 + max(starts) - 1
+        # Nothing happens before the first stream starts, and waiting
+        # for a start is no stall.
+        cycle = min(starts) - 1
 
         while delivered < total:
             cycle += 1
@@ -374,46 +561,60 @@ class MemoryKernel:
                 )
             progressed = False
 
-            # 1. Address ports: one request per port per cycle.  A port
-            # bound to a single stream skips candidate selection.
-            for port in range(ports):
-                members = port_members[port]
-                if len(members) == 1:
-                    s = members[0]
-                    if cursors[s] == ends[s] or starts[s] > cycle:
-                        continue
-                    candidates = members
-                else:
-                    candidates = [
-                        s
-                        for s in members
-                        if cursors[s] < ends[s] and starts[s] <= cycle
-                    ]
-                    if not candidates:
-                        continue
-                    if round_robin and len(candidates) > 1:
-                        rot = rotation[port]
-                        candidates.sort(
-                            key=lambda s: (s - rot) % stream_count
-                        )
-                for s in candidates:
-                    rid = cursors[s]
-                    m = mod[rid]
+            # 1. Address ports: one request per port per cycle.  One
+            # stream issues its next request or stalls on a full input
+            # queue; a port bound to a single stream skips candidate
+            # selection.
+            if single:
+                if cursor < total:
+                    m = mod[cursor]
                     queue = in_q[m]
                     if len(queue) < input_capacity:
-                        issue[rid] = cycle
-                        arrival[rid] = cycle + 1
-                        queue.append(rid)
+                        issue[cursor] = cycle
+                        queue.append(cursor)
                         if occupant[m] < 0:
                             startable.add(m)
-                        cursors[s] += 1
-                        rotation[port] = s + 1
-                        port_issues[port] += 1
-                        progressed = True
-                        break
-                    stalls[s] += 1
-                    if not round_robin:
-                        break
+                        cursor += 1
+                    else:
+                        stall_count += 1
+            else:
+                for port in range(ports):
+                    members = port_members[port]
+                    if len(members) == 1:
+                        s = members[0]
+                        if cursors[s] == ends[s] or starts[s] > cycle:
+                            continue
+                        candidates = members
+                    else:
+                        candidates = [
+                            s
+                            for s in members
+                            if cursors[s] < ends[s] and starts[s] <= cycle
+                        ]
+                        if not candidates:
+                            continue
+                        if round_robin and len(candidates) > 1:
+                            rot = rotation[port]
+                            candidates.sort(
+                                key=lambda s: (s - rot) % stream_count
+                            )
+                    for s in candidates:
+                        rid = cursors[s]
+                        m = mod[rid]
+                        queue = in_q[m]
+                        if len(queue) < input_capacity:
+                            issue[rid] = cycle
+                            queue.append(rid)
+                            if occupant[m] < 0:
+                                startable.add(m)
+                            cursors[s] += 1
+                            rotation[port] = s + 1
+                            port_issues[port] += 1
+                            progressed = True
+                            break
+                        stalls[s] += 1
+                        if not round_robin:
+                            break
 
             # 2. Result ports: up to ``ports`` deliveries per cycle,
             # oldest result first (ready cycle, then module index).
@@ -445,16 +646,15 @@ class MemoryKernel:
             # work.  Within one module a start precedes a finish, which
             # preserves the legacy phase order (with ``T = 1`` a module
             # starts and finishes in the same cycle); modules are
-            # independent within the phase.
+            # independent within the phase.  A request arrives at its
+            # module the cycle after its issue.
             if startable:
                 for m in tuple(startable):
                     queue = in_q[m]
                     rid = queue[0]
-                    if arrival[rid] <= cycle:
+                    if issue[rid] < cycle:
                         queue.popleft()
                         start[rid] = cycle
-                        if arrival[rid] != cycle:
-                            waits[stream_of[rid]] += 1
                         occupant[m] = rid
                         startable.discard(m)
                         finishing.append((cycle + service_time - 1, m))
@@ -485,102 +685,66 @@ class MemoryKernel:
                     blocked.add(m)
                 progressed = True
 
-            # 4. Event skip: a cycle in which nothing moved is followed
-            # by identical cycles until the next scheduled event; jump
-            # there, accounting the skipped stall cycles arithmetically.
-            # Such a cycle has no startable module (a queued request
-            # starts the cycle it arrives at an idle module), and no
-            # finish or ready result due at or before it.
-            if not progressed and delivered < total:
-                next_event = guard + 1
-                if finishing:
-                    next_event = min(next_event, finishing[0][0])
-                if ready_heap:
-                    next_event = min(next_event, ready_heap[0][0])
-                # A stream still waiting for its staggered start is the
-                # next event when nothing else is scheduled sooner.
-                for s in range(stream_count):
-                    if (
-                        cursors[s] < ends[s]
-                        and cycle < starts[s] < next_event
-                    ):
-                        next_event = starts[s]
+            # 4. Event skip: jump over cycles in which nothing would
+            # move to the one before the next scheduled event (service
+            # completion, result-ready edge or staggered stream start),
+            # counting the skipped cycles as issue stalls for the
+            # streams that were trying to issue.
+            if delivered == total:
+                break
+            if single:
+                # The next cycle does nothing when no module can start
+                # (a startable module's head has arrived by then), the
+                # stream cannot issue (its module's input queue stays
+                # full until a start) and no completion or result is
+                # due; a blocked module waits for a grant.
+                if startable:
+                    continue
+                if (
+                    cursor < total
+                    and len(in_q[mod[cursor]]) < input_capacity
+                ):
+                    continue
+            elif progressed:
+                continue
+            # Without a startable module (a queued request starts the
+            # cycle it arrives at an idle module) nothing is due at or
+            # before this cycle.
+            next_event = guard + 1
+            if finishing:
+                next_event = min(next_event, finishing[0][0])
+            if ready_heap:
+                next_event = min(next_event, ready_heap[0][0])
+            if single:
                 jump = next_event - cycle - 1
                 if jump > 0:
-                    for port in range(ports):
-                        blocked_streams = [
-                            s
-                            for s in port_members[port]
-                            if cursors[s] < ends[s]
-                            and starts[s] <= cycle
-                        ]
-                        if not blocked_streams:
-                            continue
-                        if round_robin:
-                            for s in blocked_streams:
-                                stalls[s] += jump
-                        else:
-                            stalls[blocked_streams[0]] += jump
+                    if cursor < total:
+                        stall_count += jump
                     cycle += jump
-
-        # Materialise the timing records and per-stream summaries.
-        finish = [started + service_time - 1 for started in start]
-        records = list(
-            map(
-                InFlightRequest,
-                elem,
-                addr,
-                mod,
-                store_flag,
-                issue,
-                arrival,
-                start,
-                finish,
-                delivery,
-            )
-        )
-        stream_runs: list[StreamRun] = []
-        for s_index, stream in enumerate(kernel_streams):
-            low, high = bounds[s_index], bounds[s_index + 1]
-            counts = [0] * module_count
-            for m in mod[low:high]:
-                counts[m] += 1
-            stream_runs.append(
-                StreamRun(
-                    name=stream.name,
-                    index=s_index,
-                    port=port_of[s_index],
-                    # Streams issue in order: the first request
-                    # carries the stream's first issue cycle.
-                    first_issue_cycle=issue[low],
-                    last_delivery_cycle=max(delivery[low:high]),
-                    issue_stall_cycles=stalls[s_index],
-                    requests=tuple(records[low:high]),
-                    module_request_counts=tuple(counts),
-                    start_cycle=stream.start_cycle,
-                    waits=waits[s_index],
-                )
-            )
-        # Every request is serviced for exactly ``T`` cycles, so busy
-        # accounting is arithmetic, not per-cycle ticking.
-        busy = tuple(
-            service_time * sum(column)
-            for column in zip(
-                *(run.module_request_counts for run in stream_runs)
-            )
-        )
-        run = KernelRun(
-            streams=tuple(stream_runs),
-            total_cycles=cycle,
-            ports=ports,
-            bus_busy_cycles=sum(port_issues),
-            bus_held_result=bus_held,
-            module_busy_cycles=busy,
-            port_issue_cycles=tuple(port_issues),
-        )
-        if self.tracer.enabled:
-            self._emit_trace(run)
-        return run
+                continue
+            for s in range(stream_count):
+                if cursors[s] < ends[s] and cycle < starts[s] < next_event:
+                    next_event = starts[s]
+            jump = next_event - cycle - 1
+            if jump > 0:
+                for port in range(ports):
+                    trying = [
+                        s
+                        for s in port_members[port]
+                        if cursors[s] < ends[s] and starts[s] <= cycle
+                    ]
+                    if not trying:
+                        continue
+                    if round_robin:
+                        for s in trying:
+                            stalls[s] += jump
+                    else:
+                        stalls[trying[0]] += jump
+                cycle += jump
+        if single:
+            stalls[0] = stall_count
+            port_issues[port_of[0]] = total
+        return cycle, stalls, bus_held, port_issues
 
     # -- trace emission -------------------------------------------------
 

@@ -26,7 +26,7 @@ kernel, shared with the multi-stream and multi-port views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 from repro.core.planner import AccessPlan
@@ -54,6 +54,9 @@ class AccessResult:
         Per-request timing records, in issue order.
     module_busy_cycles:
         Utilisation per module.
+    waits:
+        The kernel's count of requests that queued behind a busy
+        module (init-only; read it back as :attr:`wait_count`).
     """
 
     latency: int
@@ -61,6 +64,10 @@ class AccessResult:
     conflict_free: bool
     requests: tuple[InFlightRequest, ...]
     module_busy_cycles: tuple[int, ...]
+    waits: InitVar[int]
+
+    def __post_init__(self, waits: int) -> None:
+        object.__setattr__(self, "_wait_count", waits)
 
     @property
     def element_count(self) -> int:
@@ -74,7 +81,7 @@ class AccessResult:
     @property
     def wait_count(self) -> int:
         """Requests that queued behind a busy module."""
-        return sum(1 for request in self.requests if request.waited)
+        return self._wait_count
 
     def delivery_order(self) -> list[int]:
         """Element indices in the order their data returned."""
@@ -118,6 +125,7 @@ def access_result_from_run(
         conflict_free=stream.conflict_free and not held,
         requests=stream.requests,
         module_busy_cycles=busy,
+        waits=stream.wait_count,
     )
 
 
@@ -151,13 +159,4 @@ class MemorySystem:
             raise SimulationError("cannot simulate an empty request stream")
         kernel = MemoryKernel(self.config, tracer=tracer)
         run = kernel.run([KernelStream.of("access", stream, stores=stores)])
-        result = run.streams[0]
-        return AccessResult(
-            latency=run.total_cycles,
-            issue_stall_cycles=result.issue_stall_cycles,
-            conflict_free=(
-                result.conflict_free and not run.bus_held_result
-            ),
-            requests=result.requests,
-            module_busy_cycles=run.module_busy_cycles,
-        )
+        return access_result_from_run(run, 0, self.config.service_ratio)

@@ -431,9 +431,9 @@ def simulate_grid(
     point through :func:`simulate` (the per-point cycle-accurate
     path), ``"batch"`` hands the whole batch to
     :func:`repro.batch.evaluate_batch` — the analytic ``T + L + 1``
-    fast path for conflict-free planner points plus the
-    struct-of-arrays batched kernel for the rest, with identical
-    results either way.  ``validate`` (batch engine only) re-runs that
+    fast path for conflict-free planner points plus the kernel's
+    aggregate-only entry point for the rest, with identical results
+    either way.  ``validate`` (batch engine only) re-runs that
     many sampled points through the per-point kernel and raises on any
     field mismatch.  ``workers`` (batch engine only) shards the
     fallback tier — figure6/decoupled/program points — over that many

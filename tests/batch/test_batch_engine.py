@@ -5,10 +5,10 @@ conflict-prone strides, forced and tolerant plan modes, indexed
 workloads, multi-access kernels and the fallback drives — every spec
 evaluates through :func:`evaluate_batch` and :func:`simulate` and the
 two ``to_dict()`` payloads must be identical.  The rest pins the
-engine mechanics: partition counts, the validation sampler, error
-capture/raise parity, numpy-vs-stdlib equality, and the
-:class:`BatchBackend`'s payload/caching interchangeability with the
-serial lab path.
+engine mechanics: partition counts, the middle tier against the
+kernel's full runs, the validation sampler,
+error capture/raise parity, and the :class:`BatchBackend`'s
+payload/caching interchangeability with the serial lab path.
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ from repro.batch import (
     BatchValidationError,
     evaluate_batch,
 )
-from repro.batch.engine import _validation_sample
+from repro.batch.engine import _validation_sample, simulate_runs
+from repro.core.planner import AccessPlanner
+from repro.core.vector import VectorAccess
 from repro.errors import OrderingError, SimulationError
+from repro.memory.config import MemoryConfig
+from repro.memory.kernel import MemoryKernel
 from repro.scenarios import ScenarioSpec, simulate, simulate_grid
 from repro.scenarios.grid import ScenarioGrid
 
@@ -52,7 +56,7 @@ PSEUDO = {"kind": "pseudo-random", "params": {"m": 3}}
 
 
 def equivalence_specs():
-    """A sweep hitting the analytic, SoA and fallback tiers."""
+    """A sweep hitting the analytic, soa and fallback tiers."""
     specs = []
     for label, mapping, t in [
         ("matched", MATCHED, 3),
@@ -87,7 +91,7 @@ def equivalence_specs():
             drive={"kind": "planner", "params": {"mode": "subsequence"}},
         )
     )
-    # Indexed workloads: no closed form, always the SoA tier.
+    # Indexed workloads: no closed form, always the soa tier.
     specs.append(
         spec_of(
             "gather",
@@ -144,10 +148,9 @@ def equivalence_specs():
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("use_numpy", [False, None])
-    def test_every_spec_matches_the_kernel(self, use_numpy):
+    def test_every_spec_matches_the_kernel(self):
         specs = equivalence_specs()
-        report = evaluate_batch(specs, use_numpy=use_numpy)
+        report = evaluate_batch(specs)
         assert len(report.results) == len(specs)
         for spec, result in zip(specs, report.results):
             assert result.to_dict() == simulate(spec).to_dict(), spec.name
@@ -171,13 +174,6 @@ class TestEquivalence:
             assert result.issue_stalls == 0
             assert result.wait_count == 0
             assert result.latency == result.minimum_latency
-
-    def test_numpy_and_stdlib_paths_are_identical(self):
-        specs = equivalence_specs()
-        with_numpy = evaluate_batch(specs, use_numpy=None).results
-        stdlib = evaluate_batch(specs, use_numpy=False).results
-        for fast, plain in zip(with_numpy, stdlib):
-            assert fast.to_dict() == plain.to_dict()
 
     def test_simulate_grid_engines_agree(self):
         grid = ScenarioGrid.of(
@@ -203,6 +199,32 @@ class TestEquivalence:
 
         with pytest.raises(ConfigurationError, match="unknown evaluation"):
             simulate_grid([], engine="warp")
+
+
+class TestMiddleTier:
+    def test_simulate_runs_matches_kernel_runs_in_input_order(self):
+        # Each (config, modules) run must report what the kernel's
+        # full run() reports for the same plan, in input order.
+        cases = []
+        for t, s, stride in [(3, 4, 12), (2, 3, 1), (3, 4, 96)]:
+            config = MemoryConfig.matched(t=t, s=s)
+            plan = AccessPlanner(config.mapping, t).plan(
+                VectorAccess(5, stride, 40), mode="auto"
+            )
+            run = MemoryKernel(config).run([plan.request_stream()])
+            modules = [request.module for request in run.streams[0].requests]
+            cases.append((config, modules, run))
+        results = simulate_runs(
+            [(config, modules) for config, modules, _run in cases]
+        )
+        assert len(results) == len(cases)
+        for (_config, _modules, run), result in zip(cases, results):
+            (stream,) = run.streams
+            assert result.latency == run.total_cycles
+            assert result.issue_stall_cycles == stream.issue_stall_cycles
+            assert result.wait_count == stream.wait_count
+            assert result.element_count == stream.element_count
+        assert simulate_runs([]) == []
 
 
 class TestErrorParity:

@@ -6,15 +6,13 @@ holds it to that across every proven mapping kind, stride family
 (including negative and odd strides), length (including non-chunk
 lengths and length 1) and base.  ``canonical_modules`` and
 ``modules_conflict_free`` are pinned value-for-value against the
-stdlib ``module_sequence``/``is_conflict_free`` references, with and
-without numpy.
+``module_sequence``/``is_conflict_free`` references.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.batch._accel import numpy_enabled
 from repro.batch.fastpath import (
     canonical_modules,
     cf_order_feasible,
@@ -119,43 +117,34 @@ class TestCfOrderFeasible:
         assert cf_order_feasible(object(), 3, VectorAccess(0, 1, 8)) is None
 
 
-@pytest.mark.parametrize("use_numpy", [False, None])
 class TestCanonicalModules:
-    def test_matches_module_sequence(self, use_numpy):
+    def test_matches_module_sequence(self):
         for mapping, _t in CASES:
             for stride in (1, 3, 8, 12, -3):
                 for base in (0, 7):
                     access = VectorAccess(base, stride, 65)
-                    got = list(
-                        canonical_modules(
-                            mapping, access, use_numpy=use_numpy
-                        )
-                    )
+                    got = list(canonical_modules(mapping, access))
                     want = mapping.module_sequence(base, stride, 65)
                     assert got == want, (mapping.describe(), access)
 
-    def test_huge_base_takes_the_exact_path(self, use_numpy):
-        # Past the int64 guard the arbitrary-precision stdlib loop must
-        # serve — silently, with identical values after reduction.
+    def test_huge_base_takes_the_exact_path(self):
+        # Addresses past 64 bits reduce exactly (arbitrary precision).
         mapping = MatchedXorMapping(3, 4)
         access = VectorAccess((1 << 62) + 5, 3, 33)
-        got = list(canonical_modules(mapping, access, use_numpy=use_numpy))
+        got = list(canonical_modules(mapping, access))
         assert got == mapping.module_sequence(access.base, 3, 33)
 
 
 class TestModulesConflictFree:
-    @pytest.mark.parametrize("use_numpy", [False, None])
-    def test_matches_reference_over_canonical_sequences(self, use_numpy):
+    def test_matches_reference_over_canonical_sequences(self):
         checked = 0
         for mapping, t in CASES:
             service = 1 << t
             for stride in (1, 3, 8, 12, 96):
                 access = VectorAccess(0, stride, 64)
-                modules = canonical_modules(
-                    mapping, access, use_numpy=use_numpy
-                )
+                modules = canonical_modules(mapping, access)
                 assert modules_conflict_free(
-                    modules, service, use_numpy=use_numpy
+                    modules, service
                 ) == is_conflict_free(list(modules), service)
                 checked += 1
         assert checked > 0
@@ -163,14 +152,14 @@ class TestModulesConflictFree:
     def test_service_ratio_one_is_always_conflict_free(self):
         assert modules_conflict_free([0, 0, 0], 1) is True
 
-    def test_ndarray_input_agrees_with_list_input(self):
-        if not numpy_enabled(None):
-            pytest.skip("numpy is not installed")
-        import numpy as np
-
+    def test_tuple_and_range_input_agree_with_list_input(self):
+        # The argument is any int sequence, not just a list.
         for modules in ([0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 0, 2], [5], []):
-            array = np.asarray(modules, dtype=np.int64)
             for service in (2, 4, 8):
-                assert modules_conflict_free(
-                    array, service
-                ) == is_conflict_free(list(modules), service)
+                want = is_conflict_free(list(modules), service)
+                assert modules_conflict_free(tuple(modules), service) == want
+        for service in (2, 4, 8):
+            for length in (1, 4, 8, 16):
+                modules = range(0, 3 * length, 3)
+                want = is_conflict_free(list(modules), service)
+                assert modules_conflict_free(modules, service) == want

@@ -35,15 +35,16 @@ from repro.memory.system import MemorySystem
 # -- the reference implementation (transcribed legacy loops) -------------
 
 
-def reference_run(config, streams, ports=1, policy="round_robin"):
+def reference_run(config, streams, ports=1, policy="round_robin", starts=None):
     """The legacy per-cycle loop, generalised exactly as the three
     historical simulators composed it.
 
     ``ports = 1`` with one stream is the old ``MemorySystem`` loop,
     ``ports = 1`` with several streams the old ``MultiStreamMemorySystem``
     loop, and ``ports > 1`` the old ``MultiPortMemorySystem`` loop.
-    Returns per-stream request records plus the counters the legacy
-    result types exposed.
+    ``starts`` gives each stream's ``start_cycle`` (default 1): a stream
+    is invisible to its port before it.  Returns per-stream request
+    records plus the counters the legacy result types exposed.
     """
     mapping = config.mapping
     pending = [
@@ -68,6 +69,7 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
         for index in range(config.module_count)
     ]
     stream_count = len(pending)
+    starts = starts or [1] * stream_count
     cursors = [0] * stream_count
     stalls = [0] * stream_count
     first_issue = [0] * stream_count
@@ -79,7 +81,7 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
     bus_busy = 0
     bus_held = False
     cycle = 0
-    guard = (total + 2) * (config.service_ratio + 2) + 64
+    guard = (total + 2) * (config.service_ratio + 2) + 64 + max(starts) - 1
 
     while delivered < total:
         cycle += 1
@@ -91,6 +93,7 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
                 for index in range(stream_count)
                 if index % ports == port
                 and cursors[index] < len(pending[index])
+                and starts[index] <= cycle
             ]
             if policy == "round_robin":
                 members.sort(
@@ -273,49 +276,69 @@ class TestMultiPortEquivalence:
             assert stream_result.last_delivery_cycle == reference["last_delivery"][index]
 
 
-@st.composite
-def kernel_cases(draw):
-    """A random geometry plus 1-3 streams of arbitrary addresses.
-
-    ``t = 0`` gives ``T = 1``, where a module starts and finishes a
-    request in the same cycle; addresses come from a small window so
-    streams collide in modules and queues.
-    """
+def draw_config(draw):
+    """A random geometry; ``t = 0`` gives ``T = 1``, where a module
+    starts and finishes a request in the same cycle."""
     t = draw(st.integers(min_value=0, max_value=4))
     input_capacity = draw(st.integers(min_value=1, max_value=3))
     output_capacity = draw(st.integers(min_value=1, max_value=3))
     if t >= 1 and draw(st.booleans()):
-        config = MemoryConfig.unmatched(
+        return MemoryConfig.unmatched(
             t, t, 2 * t, input_capacity, output_capacity
         )
-    else:
-        config = MemoryConfig.matched(
-            t, t + 1, input_capacity, output_capacity
-        )
-    ports = draw(
-        st.integers(min_value=1, max_value=min(3, config.module_count))
+    return MemoryConfig.matched(t, t + 1, input_capacity, output_capacity)
+
+
+def draw_stream(draw, address):
+    """``(requests, stores)`` of 1-24 addresses drawn from ``address``."""
+    addresses = draw(st.lists(address, min_size=1, max_size=24))
+    stores = draw(
+        st.frozensets(st.integers(min_value=0, max_value=len(addresses) - 1))
     )
-    policy = draw(st.sampled_from(["round_robin", "priority"]))
-    # A small pool of addresses piles streams onto a few modules; the
-    # wide range spreads them.
+    return tuple(enumerate(addresses)), stores
+
+
+def draw_address(draw):
+    """An address strategy: a small pool of addresses piles requests
+    onto a few modules; the wide range spreads them."""
     pool = draw(
         st.lists(
             st.integers(min_value=-16, max_value=255), min_size=1, max_size=4
         )
     )
-    address = st.one_of(
+    return st.one_of(
         st.sampled_from(pool), st.integers(min_value=-16, max_value=255)
     )
-    streams = []
-    for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        addresses = draw(st.lists(address, min_size=1, max_size=24))
-        stores = draw(
-            st.frozensets(
-                st.integers(min_value=0, max_value=len(addresses) - 1)
-            )
-        )
-        streams.append((tuple(enumerate(addresses)), stores))
-    return config, ports, policy, streams
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random geometry plus 1-3 streams of arbitrary addresses that
+    collide in modules and queues, each stream starting at cycle 1 or
+    at a staggered cycle."""
+    config = draw_config(draw)
+    ports = draw(
+        st.integers(min_value=1, max_value=min(3, config.module_count))
+    )
+    policy = draw(st.sampled_from(["round_robin", "priority"]))
+    address = draw_address(draw)
+    count = draw(st.integers(min_value=1, max_value=3))
+    streams = [draw_stream(draw, address) for _ in range(count)]
+    starts = [
+        draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=40)))
+        for _ in range(count)
+    ]
+    return config, ports, policy, streams, starts
+
+
+@st.composite
+def single_stream_cases(draw):
+    """One stream on a random geometry with 1-3 result ports."""
+    config = draw_config(draw)
+    ports = draw(
+        st.integers(min_value=1, max_value=min(3, config.module_count))
+    )
+    return config, ports, draw_stream(draw, draw_address(draw))
 
 
 def blocking_case(ports, policy, *address_lists):
@@ -328,23 +351,34 @@ def blocking_case(ports, policy, *address_lists):
         (tuple(enumerate(addresses)), frozenset())
         for addresses in address_lists
     ]
-    return config, ports, policy, streams
+    return config, ports, policy, streams, [1] * len(streams)
+
+
+#: One stream that leaves a finished result blocked on ``q'`` while
+#: requests wait behind it (under :func:`blocking_case`'s geometry).
+BLOCKING_ADDRESSES = [
+    139, 244, 244, 244, 244, 227, 47, 244, 119, -10, 10, 37, 152, 118, 228,
+    228, 181, 244, 177, 244, 244, 244, 242,
+]
+
+
+def single_blocking_case(ports, start_cycle):
+    """:data:`BLOCKING_ADDRESSES` as a single-stream case starting at
+    ``start_cycle``, every third request a store."""
+    config, _ports, policy, ((requests, _stores),), _starts = blocking_case(
+        ports, "round_robin", BLOCKING_ADDRESSES
+    )
+    stores = frozenset(range(0, len(requests), 3))
+    return config, ports, policy, [(requests, stores)], [start_cycle]
 
 
 class TestDifferentialAgainstReference:
     """The kernel equals the reference loop request by request over
     generated geometries, buffer depths, port counts and policies."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(case=kernel_cases())
-    @example(
-        case=blocking_case(
-            1,
-            "round_robin",
-            [139, 244, 244, 244, 244, 227, 47, 244, 119, -10, 10, 37, 152,
-             118, 228, 228, 181, 244, 177, 244, 244, 244, 242],
-        )
-    )
+    @example(case=blocking_case(1, "round_robin", BLOCKING_ADDRESSES))
     @example(
         case=blocking_case(
             1,
@@ -353,13 +387,36 @@ class TestDifferentialAgainstReference:
             [113, 113, 126, 126, 252, 126, 129, 126, 126, 103, 113],
         )
     )
+    @example(case=single_blocking_case(ports=1, start_cycle=1))
+    @example(case=single_blocking_case(ports=3, start_cycle=9))
+    @example(
+        # ``T = 1``: a module starts and finishes in the same cycle.
+        case=(
+            MemoryConfig.matched(0, 1, 1, 1),
+            1,
+            "round_robin",
+            [
+                (
+                    tuple(enumerate([0, 0, 1, 0, 1, 1, 0, 3, 2, 0])),
+                    frozenset({1, 4}),
+                )
+            ],
+            [5],
+        )
+    )
     def test_matches_reference(self, case):
-        config, ports, policy, streams = case
-        reference = reference_run(config, streams, ports=ports, policy=policy)
+        config, ports, policy, streams, starts = case
+        reference = reference_run(
+            config, streams, ports=ports, policy=policy, starts=starts
+        )
         run = MemoryKernel(config, ports=ports, policy=policy).run(
             [
-                KernelStream.of(f"s{index}", stream, stores=stores)
-                for index, (stream, stores) in enumerate(streams)
+                KernelStream.of(
+                    f"s{index}", stream, stores=stores, start_cycle=begin
+                )
+                for index, ((stream, stores), begin) in enumerate(
+                    zip(streams, starts)
+                )
             ]
         )
         assert run.total_cycles == reference["total_cycles"]
@@ -379,6 +436,38 @@ class TestDifferentialAgainstReference:
                 == reference["last_delivery"][index]
             )
             assert stream.wait_count == sum(1 for r in expected if r.waited)
+
+
+class TestAggregateRun:
+    """``run_aggregate`` reports exactly ``run()``'s aggregates."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=single_stream_cases())
+    def test_equals_run_aggregates(self, case):
+        config, ports, (requests, stores) = case
+        kernel = MemoryKernel(config, ports=ports)
+        run = kernel.run([KernelStream.of("s0", requests, stores)])
+        (stream,) = run.streams
+        modules = [request.module for request in stream.requests]
+        aggregate = kernel.run_aggregate(modules)
+        assert aggregate.latency == run.total_cycles
+        assert aggregate.issue_stall_cycles == stream.issue_stall_cycles
+        assert aggregate.wait_count == stream.wait_count
+        assert aggregate.bus_held_result == run.bus_held_result
+        assert aggregate.element_count == stream.element_count
+        assert aggregate.module_busy_cycles == run.module_busy_cycles
+        assert aggregate.conflict_free == (
+            stream.conflict_free and not run.bus_held_result
+        )
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(SimulationError):
+            MemoryKernel(MATCHED).run_aggregate([])
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_module_out_of_range_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="module numbers"):
+            MemoryKernel(MATCHED).run_aggregate([0, bad])
 
 
 class TestDegenerateGeometry:
