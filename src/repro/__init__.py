@@ -55,8 +55,8 @@ Module map
   specs (machine + workload *or* whole program) + the ``simulate()``
   facade over all of the above and design-point diffing;
 * :mod:`repro.batch` — the batch design-point evaluation engine:
-  a closed-form analytic fast path for conflict-free planner points,
-  a middle tier that runs conflict-prone points through the memory
+  a closed-form ``T + L + 1`` analytic tier for conflict-free planner
+  points (decided by the planner's own Lemma-1 rule), a middle tier that runs conflict-prone points through the memory
   kernel's aggregate-only entry point, and a fallback tier shardable
   over a process pool (``--batch-workers``), selectable as
   ``--engine batch`` wherever grids run, with sampled re-validation

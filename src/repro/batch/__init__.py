@@ -1,10 +1,12 @@
 """Batch design-point evaluation: many scenarios in one pass.
 
-Two tiers above the per-point simulator: an analytic fast path that
-answers conflict-free planner-drive points with the paper's closed-form
-``T + L + 1`` arithmetic (no simulation), and a middle tier that runs
-each remaining planner-drive access's module sequence through the
-memory kernel's aggregate-only entry point
+Two tiers above the per-point simulator: an analytic tier that answers
+conflict-free planner-drive points with the paper's closed-form
+``T + L + 1`` run per access (no simulation; feasibility is the
+planner's own Lemma-1 rule,
+:meth:`~repro.core.planner.AccessPlanner.decomposition`), and a middle
+tier that runs each remaining planner-drive access's module sequence
+through the memory kernel's aggregate-only entry point
 (:meth:`~repro.memory.kernel.MemoryKernel.run_aggregate`: the same
 cycles, no address reduction or per-request records).  Points neither
 tier can claim fall back to :func:`repro.scenarios.simulate`, so every
@@ -19,7 +21,6 @@ scenario run --engine batch``) for direct evaluation, and
 cached lab batches.  Every tier is pure standard library.
 """
 
-from repro.batch.analytic import analytic_result
 from repro.batch.engine import (
     BatchBackend,
     BatchReport,
@@ -34,7 +35,6 @@ __all__ = [
     "BatchReport",
     "BatchValidationError",
     "PreparedPoint",
-    "analytic_result",
     "evaluate_batch",
     "prepare_point",
     "resolve_fallback_workers",

@@ -4,8 +4,9 @@
 through a three-way partition:
 
 * **analytic** — planner-drive points whose every access plans
-  conflict-free take the closed-form ``T + L + 1`` fast path
-  (:mod:`repro.batch.analytic`): no simulation at all;
+  conflict-free take one closed-form ``T + L + 1``
+  :class:`~repro.memory.kernel.AggregateRun` per access
+  (:mod:`repro.batch.prepare`): no simulation at all;
 * **soa** — remaining planner-drive points (conflict-prone strides,
   indexed accesses) run each access's module sequence through the
   memory kernel's aggregate-only entry point

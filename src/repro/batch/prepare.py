@@ -2,24 +2,27 @@
 
 :func:`prepare_point` decides once, per spec, which tier evaluates it:
 
-* ``"analytic"`` — every access is conflict-free, so the full
-  :class:`~repro.scenarios.ScenarioResult` is closed-form arithmetic
-  (the prepared result rides along);
+* ``"analytic"`` — every access is conflict-free, so each becomes a
+  closed-form :meth:`~repro.memory.kernel.AggregateRun.closed_form`
+  run (``T + L + 1`` cycles, no stall) and the finished
+  :class:`~repro.scenarios.ScenarioResult` rides along;
 * ``"soa"`` — planner-drive points with at least one conflict-prone or
   indexed access carry their per-access module sequences into the
   kernel's aggregate-only entry point;
 * ``"fallback"`` — programs and the figure6/decoupled drives, which
   need the per-point engines.
 
-The classification leans on :mod:`repro.batch.fastpath`: for the
-paper's XOR mappings, conflict-free feasibility is decided by the
-Lemma-1 chunk arithmetic and conflict-prone points take the canonical
-order — so the expensive ``conflict_free_order`` slot loop never runs
-for them.  Geometries outside the proven closed forms consult the real
-:class:`~repro.core.planner.AccessPlanner`, whose plans are authoritative
-by construction.  Build and validation errors surface exactly as
-:func:`repro.scenarios.simulate` raises them: the same factories and
-constructors run in the same order.
+Conflict-free feasibility comes from the planner's own Lemma-1 rule,
+:meth:`~repro.core.planner.AccessPlanner.decomposition`: when it
+raises, mode ``auto`` takes the canonical order; when the planner is
+:attr:`~repro.core.planner.AccessPlanner.closed_form`, a length that
+is a multiple of the chunk plans conflict-free — so the expensive
+``conflict_free_order`` slot loop never runs for either.  Other
+geometries consult the real planner, whose plans are authoritative by
+construction.  Both the analytic and the kernel tier end in the same
+``_aggregate`` the per-point simulator uses.  Build and validation
+errors surface exactly as :func:`repro.scenarios.simulate` raises
+them: the same factories and constructors run in the same order.
 """
 
 from __future__ import annotations
@@ -27,19 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.batch.fastpath import (
-    canonical_modules,
-    cf_order_feasible,
-    modules_conflict_free,
-)
+from repro.core.distributions import is_conflict_free
 from repro.core.gather import IndexedAccess, plan_indexed
 from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
-from repro.mappings.linear import MatchedXorMapping
-from repro.memory.kernel import module_histogram
+from repro.errors import OrderingError
+from repro.memory.kernel import AggregateRun, module_histogram
 from repro.scenarios.components import PlannerDrive
 from repro.scenarios.facade import (
     ScenarioResult,
+    _aggregate,
     build_config,
     build_workload,
 )
@@ -70,16 +70,14 @@ class _AccessVerdict:
     """Scheme, conflict-freedom and module data for one access.
 
     ``modules`` is the issue-order module sequence when known without
-    building the full plan; a conflict-free fast-path verdict leaves it
-    ``None`` (its histogram is order-invariant) and ``histogram``
-    carries the per-module request counts instead.
+    building the full plan; a closed-form conflict-free verdict leaves
+    it ``None`` (its histogram is order-invariant).
     """
 
     scheme: str
     conflict_free: bool
     indexed: bool = False
     modules: Sequence[int] | None = None
-    histogram: list[int] | None = None
 
 
 def prepare_point(spec: ScenarioSpec) -> PreparedPoint:
@@ -102,13 +100,17 @@ def prepare_point(spec: ScenarioSpec) -> PreparedPoint:
         _classify_access(planner, config, drive, access)
         for access in accesses
     ]
-    if all(v.conflict_free for v in verdicts) and not any(
-        v.indexed for v in verdicts
-    ):
-        return PreparedPoint(
-            "analytic",
-            result=_analytic_result(spec, config, verdicts),
-        )
+    if all(v.conflict_free and not v.indexed for v in verdicts):
+        runs = [
+            (
+                v.scheme,
+                AggregateRun.closed_form(
+                    _histogram(config, access, v), config.service_ratio
+                ),
+            )
+            for access, v in zip(accesses, verdicts)
+        ]
+        return PreparedPoint("analytic", result=_aggregate(spec, config, runs))
     planned = tuple(
         (v.scheme, _issue_modules(planner, drive, access, v))
         for access, v in zip(accesses, verdicts)
@@ -134,87 +136,68 @@ def _classify_access(
         )
     mode = drive.mode
     if mode in ("auto", "conflict_free"):
-        feasible = cf_order_feasible(mapping, config.t, access)
-        if feasible is True:
-            return _AccessVerdict(
-                "conflict_free",
-                True,
-                histogram=_cf_histogram(mapping, access, service),
-            )
-        if feasible is False:
-            if mode == "conflict_free":
-                # The forced mode raises; let the planner produce the
-                # exact OrderingError simulate() would.
-                planner.plan(access, mode=mode)
+        feasible = _reorder_feasible(planner, access)
+        if feasible:
+            return _AccessVerdict("conflict_free", True)
+        if feasible is False and mode == "auto":
             return _canonical_verdict(mapping, access, service)
+        # Undecided, or a forced mode that raises: the planner decides
+        # (and produces the exact OrderingError simulate() would).
     elif mode == "ordered":
         return _canonical_verdict(mapping, access, service)
     plan = planner.plan(access, mode=mode)
     return _AccessVerdict(plan.scheme, plan.conflict_free, modules=plan.modules)
 
 
+def _reorder_feasible(
+    planner: AccessPlanner, access: VectorAccess
+) -> bool | None:
+    """Whether the Section 3.2/4.2 reordering exists for ``access``.
+
+    ``False`` when the planner's Lemma-1 decomposition refuses it,
+    ``True``/``False`` by the chunk arithmetic when the planner is
+    closed-form (success then always yields a conflict-free plan), and
+    ``None`` when only the built plan can tell.
+    """
+    try:
+        _w, _key_of, chunk = planner.decomposition(access)
+    except OrderingError:
+        return False
+    if not planner.closed_form:
+        return None
+    return access.length % chunk == 0
+
+
 def _canonical_verdict(
     mapping, access: VectorAccess, service: int
 ) -> _AccessVerdict:
-    modules = canonical_modules(mapping, access)
+    modules = mapping.module_sequence(access.base, access.stride, access.length)
     return _AccessVerdict(
-        "canonical",
-        modules_conflict_free(modules, service),
-        modules=modules,
+        "canonical", is_conflict_free(modules, service), modules=modules
     )
 
 
-def _cf_histogram(mapping, access: VectorAccess, service: int) -> list[int]:
+def _histogram(
+    config, access: VectorAccess, verdict: _AccessVerdict
+) -> list[int]:
     """Per-module request counts of a conflict-free access.
 
-    Order-invariant, so the canonical address set serves.  A truly
-    matched memory (``M = T``) is exactly uniform: each block of ``T``
-    consecutive conflict-free requests hits every module once.
+    Order-invariant, so the canonical address set serves.  A closed-form
+    verdict on a truly matched memory (``M = T``) is exactly uniform:
+    each block of ``T`` consecutive conflict-free requests hits every
+    module once.
     """
-    if type(mapping) is MatchedXorMapping and mapping.module_count == service:
-        return [access.length // service] * service
-    return module_histogram(
-        canonical_modules(mapping, access), mapping.module_count
-    )
-
-
-def _analytic_result(
-    spec: ScenarioSpec,
-    config,
-    verdicts: list[_AccessVerdict],
-) -> ScenarioResult:
-    service = config.service_ratio
     module_count = config.module_count
-    schemes: list[str] = []
-    busy = [0] * module_count
-    latency = 0
-    elements = 0
-    for verdict in verdicts:
-        if verdict.scheme not in schemes:
-            schemes.append(verdict.scheme)
-        counts = verdict.histogram
-        if counts is None:
-            counts = module_histogram(verdict.modules, module_count)
-        length = sum(counts)
-        latency += service + length + 1
-        elements += length
-        for module, count in enumerate(counts):
-            busy[module] += count * service
-    return ScenarioResult(
-        name=spec.name,
-        drive=spec.drive.kind,
-        schemes=tuple(schemes),
-        access_count=len(verdicts),
-        element_count=elements,
-        latency=latency,
-        minimum_latency=latency,
-        conflict_free=True,
-        issue_stalls=0,
-        wait_count=0,
-        service_ratio=service,
-        module_count=module_count,
-        module_busy_cycles=tuple(busy),
-    )
+    modules = verdict.modules
+    if modules is None:
+        service = config.service_ratio
+        if module_count == service:
+            return [access.length // service] * service
+        mapping = config.mapping
+        modules = mapping.module_sequence(
+            access.base, access.stride, access.length
+        )
+    return module_histogram(modules, module_count)
 
 
 def _issue_modules(

@@ -19,6 +19,15 @@ Scheme selection (mode ``"auto"``) follows the paper:
   Lemma-4 subsequences aligned on *section* order (Section 4.2);
 * anything else (family outside the windows, length not a chunk multiple,
   mapping without structure): ordered access.
+
+:meth:`AccessPlanner.decomposition` is the one statement of Lemma 1's
+rule: it picks the exponent ``w``, the alignment key and the chunk
+``2**(w+t-x)``, or raises :class:`~repro.errors.OrderingError`.  The
+planner's own reordering modes, the short-vector split, the Figure 6
+engine and the batch engine all call it.  On
+:attr:`AccessPlanner.closed_form` geometries its chunk arithmetic alone
+decides whether the reordering exists, so the batch engine answers
+those accesses without building a request order.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 from repro.core.distributions import (
     is_conflict_free,
@@ -40,10 +49,11 @@ from repro.core.orderings import (
     conflict_free_order,
     subsequence_order,
 )
-from repro.core.subsequences import build_subsequences
+from repro.core.subsequences import build_subsequences, chunk_elements
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, OrderingError
 from repro.mappings.base import AddressMapping
+from repro.mappings.linear import MatchedXorMapping
 from repro.mappings.section import SectionXorMapping
 
 PlanMode = Literal["auto", "ordered", "subsequence", "conflict_free"]
@@ -51,8 +61,6 @@ PlanMode = Literal["auto", "ordered", "subsequence", "conflict_free"]
 #: Set to ``0``/``off``/``false``/``no`` to disable the process-wide
 #: plan cache (every ``plan()`` call then recomputes from scratch).
 PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
-#: Override the cache capacity (entries); read once at import.
-PLAN_CACHE_SIZE_ENV = "REPRO_PLAN_CACHE_SIZE"
 
 _DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
 
@@ -123,16 +131,8 @@ class PlanCache:
             }
 
 
-def _default_capacity() -> int:
-    try:
-        value = int(os.environ.get(PLAN_CACHE_SIZE_ENV, "4096"))
-    except ValueError:
-        return 4096
-    return value if value >= 1 else 4096
-
-
 #: The process-wide cache every :class:`AccessPlanner` shares.
-_PLAN_CACHE = PlanCache(_default_capacity())
+_PLAN_CACHE = PlanCache()
 
 
 def plan_cache_stats() -> dict[str, int]:
@@ -267,7 +267,7 @@ class AccessPlanner:
         if mode == "ordered":
             return self._finish(vector, canonical_order(vector))
         if mode == "subsequence":
-            w, _ = self._reorder_parameters(vector)
+            w, _key_of, _chunk = self.decomposition(vector)
             plan = build_subsequences(vector, w, self.t)
             return self._finish(vector, subsequence_order(plan))
         if mode == "conflict_free":
@@ -280,15 +280,26 @@ class AccessPlanner:
         raise ConfigurationError(f"unknown plan mode {mode!r}")
 
     def _conflict_free(self, vector: VectorAccess) -> AccessPlan:
-        w, key_of = self._reorder_parameters(vector)
+        w, key_of, _chunk = self.decomposition(vector)
         plan = build_subsequences(vector, w, self.t)
         return self._finish(vector, conflict_free_order(plan, key_of))
 
-    def _reorder_parameters(self, vector: VectorAccess):
-        """Pick the decomposition exponent ``w`` and the alignment key.
+    def decomposition(
+        self, vector: VectorAccess
+    ) -> tuple[int, Callable[[int], int], int]:
+        """Lemma 1's decomposition of ``vector`` under this mapping.
 
-        Returns ``(w, key_of)`` where ``key_of`` maps an element address
-        to the value aligned across subsequences.
+        Returns ``(w, key_of, chunk)``: the decomposition exponent ``w``
+        (``s`` for Lemma 2, ``y`` for Lemma 4), the map from an element
+        address to the value aligned across subsequences, and the chunk
+        ``P = 2**(w+t-x)``.  The reordered access exists exactly when
+        this returns and the length is a positive multiple of ``chunk``.
+
+        Raises
+        ------
+        OrderingError
+            If the mapping exposes no stride-window structure or the
+            stride family lies above ``w``.
         """
         mapping = self.mapping
         x = vector.family
@@ -300,20 +311,48 @@ class AccessPlanner:
                 # constant, but across subsequences with x < t the low
                 # address bits change, and only the b-field alignment
                 # keeps same-module requests exactly T slots apart.
-                return mapping.s, mapping.module_within_section
-            return mapping.y, mapping.section_of
-        s = getattr(mapping, "s", None)
-        if s is None:
-            raise OrderingError(
-                f"mapping {mapping.describe()} exposes no stride-window "
-                "structure; only ordered access is available"
-            )
-        if x > s:
-            raise OrderingError(
-                f"stride family x={x} lies above the mapping exponent s={s}; "
-                "the Lemma-2 decomposition does not apply"
-            )
-        return s, mapping.module_of
+                w, key_of = mapping.s, mapping.module_within_section
+            else:
+                w, key_of = mapping.y, mapping.section_of
+        else:
+            s = getattr(mapping, "s", None)
+            if s is None:
+                raise OrderingError(
+                    f"mapping {mapping.describe()} exposes no stride-window "
+                    "structure; only ordered access is available"
+                )
+            if x > s:
+                raise OrderingError(
+                    f"stride family x={x} lies above the mapping exponent "
+                    f"s={s}; the Lemma-2 decomposition does not apply"
+                )
+            w, key_of = s, mapping.module_of
+        return w, key_of, chunk_elements(vector, w, self.t)
+
+    @property
+    def closed_form(self) -> bool:
+        """Whether :meth:`decomposition` alone decides conflict-freedom.
+
+        True for the exact Eq. (1) mapping on a matched memory
+        (``m == t``) and the exact Eq. (2) mapping at its own ``t``.
+        For these, a vector whose :meth:`decomposition` succeeds and
+        whose length is a multiple of ``chunk`` always plans
+        conflict-free: within each Lemma-2/4 subsequence the alignment
+        key steps by the odd ``sigma`` through its full ``2**t`` value
+        range, so every subsequence's key set matches the first one and
+        ``conflict_free_order`` cannot raise once
+        ``build_subsequences`` accepts the decomposition — and each
+        subsequence emits exactly ``T`` requests, so same-key (hence
+        same-module) requests sit exactly ``T`` slots apart.  Any other
+        geometry (a subclassed mapping, an unmatched Eq. (1) layout, a
+        skew or field scheme) needs the built plan's verdict.
+        """
+        mapping = self.mapping
+        if type(mapping) is MatchedXorMapping:
+            return mapping.module_bits == self.t
+        if type(mapping) is SectionXorMapping:
+            return mapping.t == self.t
+        return False
 
     def _finish(self, vector: VectorAccess, order: RequestOrder) -> AccessPlan:
         modules = tuple(

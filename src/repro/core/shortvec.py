@@ -92,12 +92,11 @@ def plan_short_vector(planner: AccessPlanner, vector: VectorAccess) -> Composite
     chunk) is accessed in order.
     """
     try:
-        w, _ = planner._reorder_parameters(vector)
+        _w, _key_of, chunk = planner.decomposition(vector)
     except OrderingError:
         ordered = planner.plan(vector, mode="ordered")
         return CompositePlan(vector, None, ordered, planner.service_ratio)
 
-    chunk = 1 << (w + planner.t - vector.family)
     prefix_length = (vector.length // chunk) * chunk
     if prefix_length == 0:
         ordered = planner.plan(vector, mode="ordered")

@@ -105,6 +105,23 @@ class SubsequencePlan:
         return out
 
 
+def chunk_elements(vector: VectorAccess, w: int, t: int) -> int:
+    """Lemma 1's chunk ``P = 2**(w+t-x)`` for ``vector`` against ``w``.
+
+    Raises
+    ------
+    OrderingError
+        If the stride family exceeds ``w`` (the lemmas do not apply).
+    """
+    x = vector.family
+    if x > w:
+        raise OrderingError(
+            f"stride family x={x} exceeds the mapping exponent w={w}; "
+            "Lemma 2/4 subsequences are undefined"
+        )
+    return 1 << (w + t - x)
+
+
 def build_subsequences(
     vector: VectorAccess, w: int, t: int
 ) -> SubsequencePlan:
@@ -119,13 +136,7 @@ def build_subsequences(
         ``2**(w+t-x)`` (Lemma 1's ``L = k * Px`` precondition fails —
         callers fall back to ordered access or the short-vector split).
     """
-    x = vector.family
-    if x > w:
-        raise OrderingError(
-            f"stride family x={x} exceeds the mapping exponent w={w}; "
-            "Lemma 2/4 subsequences are undefined"
-        )
-    chunk = 1 << (w + t - x)
+    chunk = chunk_elements(vector, w, t)
     if vector.length % chunk != 0 or vector.length < chunk:
         raise OrderingError(
             f"vector length {vector.length} is not a positive multiple of "
@@ -134,10 +145,10 @@ def build_subsequences(
         )
     return SubsequencePlan(
         vector=vector,
-        family=x,
+        family=vector.family,
         w=w,
         t=t,
         chunk_elements=chunk,
-        subsequences_per_chunk=1 << (w - x),
+        subsequences_per_chunk=1 << (w - vector.family),
         chunks=vector.length // chunk,
     )

@@ -62,7 +62,7 @@ class Figure6Engine:
     def __init__(self, planner: AccessPlanner, vector: VectorAccess):
         self.planner = planner
         self.vector = vector
-        w, key_of = planner._reorder_parameters(vector)
+        w, key_of, _chunk = planner.decomposition(vector)
         self.key_of = key_of
         self.plan = build_subsequences(vector, w, planner.t)
         self.slots = self.plan.elements_per_subsequence  # 2**t

@@ -23,13 +23,11 @@ Module map
   (documentation/reference model; the kernel keeps the same state in
   flat arrays) and the :class:`InFlightRequest` timing record.
 * :mod:`repro.memory.storage` — the word-addressable backing store.
-* :mod:`repro.memory.metrics`, :mod:`repro.memory.trace`,
-  :mod:`repro.memory.events` — derived metrics, Gantt rendering and
-  event logs.
+* :mod:`repro.memory.metrics`, :mod:`repro.memory.trace` — derived
+  metrics and Gantt rendering.
 """
 
 from repro.memory.config import MemoryConfig
-from repro.memory.events import Event, EventKind, EventLog
 from repro.memory.kernel import (
     AggregateRun,
     KernelRun,
@@ -59,9 +57,6 @@ from repro.memory.trace import describe_result, render_timeline
 __all__ = [
     "AccessResult",
     "AggregateRun",
-    "Event",
-    "EventKind",
-    "EventLog",
     "InFlightRequest",
     "KernelRun",
     "KernelStream",

@@ -210,6 +210,30 @@ class AggregateRun:
     element_count: int
     module_busy_cycles: tuple[int, ...]
 
+    @classmethod
+    def closed_form(
+        cls, histogram: Sequence[int], service_ratio: int
+    ) -> "AggregateRun":
+        """The run of a conflict-free access, without simulating it.
+
+        Section 2: an access whose every ``T`` consecutive requests hit
+        distinct modules completes in exactly ``T + L + 1`` cycles with
+        no stall, wait or held result.  ``histogram`` is the requests
+        per module (order-invariant); each request keeps its module
+        busy for ``T`` cycles.
+        """
+        length = sum(histogram)
+        return cls(
+            latency=service_ratio + length + 1,
+            issue_stall_cycles=0,
+            wait_count=0,
+            bus_held_result=False,
+            element_count=length,
+            module_busy_cycles=tuple(
+                service_ratio * count for count in histogram
+            ),
+        )
+
     @property
     def conflict_free(self) -> bool:
         """The single-stream verdict: no request waited, no issue

@@ -653,7 +653,7 @@ def run_e10(t: int = 3, s: int = 4) -> ExperimentResult:
             True,
             composite_run.latency <= ordered_run.latency + service - 1,
         )
-        chunk = 1 << (s + t - family)
+        _w, _key_of, chunk = planner.decomposition(vector)
         if length % chunk == 0:
             result.check(
                 f"V={length} x={family}: full multiple of chunk is optimal",

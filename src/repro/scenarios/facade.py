@@ -31,6 +31,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import add
 
 from repro.core.gather import IndexedAccess, plan_indexed
 from repro.core.planner import AccessPlanner
@@ -472,28 +473,29 @@ def _aggregate(
     totals add and conflict-freedom is the conjunction.
     """
     schemes = []
-    for scheme, _run in runs:
+    busy = [0] * config.module_count
+    elements = latency = stalls = waits = 0
+    conflict_free = True
+    for scheme, run in runs:
         if scheme not in schemes:
             schemes.append(scheme)
-    elements = sum(run.element_count for _scheme, run in runs)
-    busy = [0] * config.module_count
-    for _scheme, run in runs:
-        for module, cycles in enumerate(run.module_busy_cycles):
-            busy[module] += cycles
-    minimum = sum(
-        config.service_ratio + run.element_count + 1 for _scheme, run in runs
-    )
+        elements += run.element_count
+        latency += run.latency
+        stalls += run.issue_stall_cycles
+        waits += run.wait_count
+        conflict_free = conflict_free and run.conflict_free
+        busy = list(map(add, busy, run.module_busy_cycles))
     return ScenarioResult(
         name=spec.name,
         drive=spec.drive.kind,
         schemes=tuple(schemes),
         access_count=len(runs),
         element_count=elements,
-        latency=sum(run.latency for _scheme, run in runs),
-        minimum_latency=minimum,
-        conflict_free=all(run.conflict_free for _scheme, run in runs),
-        issue_stalls=sum(run.issue_stall_cycles for _scheme, run in runs),
-        wait_count=sum(run.wait_count for _scheme, run in runs),
+        latency=latency,
+        minimum_latency=(config.service_ratio + 1) * len(runs) + elements,
+        conflict_free=conflict_free,
+        issue_stalls=stalls,
+        wait_count=waits,
         service_ratio=config.service_ratio,
         module_count=config.module_count,
         module_busy_cycles=tuple(busy),

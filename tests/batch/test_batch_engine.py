@@ -164,16 +164,20 @@ class TestEquivalence:
     def test_analytic_results_claim_only_conflict_free_points(self):
         # The analytic tier's defining claim: whatever it answers is a
         # conflict-free point with zero stalls and exact T+L+1 latency.
-        from repro.batch import analytic_result
+        from repro.batch import prepare_point
 
+        claimed = 0
         for spec in equivalence_specs():
-            result = analytic_result(spec)
-            if result is None:
+            point = prepare_point(spec)
+            if point.kind != "analytic":
                 continue
+            claimed += 1
+            result = point.result
             assert result.conflict_free is True
             assert result.issue_stalls == 0
             assert result.wait_count == 0
             assert result.latency == result.minimum_latency
+        assert claimed > 0
 
     def test_simulate_grid_engines_agree(self):
         grid = ScenarioGrid.of(

@@ -86,6 +86,19 @@ class TestConflictFree:
         with pytest.raises(VectorSpecError):
             is_conflict_free([0], 0)
 
+    def test_tuple_and_range_input_agree_with_list_input(self):
+        # The batch engine passes module_sequence output straight in,
+        # so any int sequence must give the list verdict.
+        for modules in ([0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 0, 2], [5], []):
+            for service in (2, 4, 8):
+                want = is_conflict_free(list(modules), service)
+                assert is_conflict_free(tuple(modules), service) == want
+        for service in (2, 4, 8):
+            for length in (1, 4, 8, 16):
+                modules = range(0, 3 * length, 3)
+                want = is_conflict_free(list(modules), service)
+                assert is_conflict_free(modules, service) == want
+
     @given(
         st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=64),
         st.integers(min_value=1, max_value=8),

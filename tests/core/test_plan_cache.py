@@ -1,8 +1,8 @@
 """The process-wide plan cache and the facade's machine templates.
 
 A cache hit must be indistinguishable from recomputation across the
-same geometry sweep that pins the closed-form planner shortcuts
-(tests/batch/test_fastpath.py): every proven mapping kind, stride
+same geometry sweep that pins the planner's Lemma-1 rule
+(tests/core/test_planner.py): every proven mapping kind, stride
 family, length and base.  Disabling either cache via its environment
 knob must change nothing but speed, the LRU must evict oldest-first,
 and mappings without a declared ``cache_token`` must never be cached.
@@ -28,7 +28,7 @@ from repro.mappings.linear import MatchedXorMapping
 from repro.mappings.section import SectionXorMapping
 from repro.mappings.skewed import SkewedMapping
 
-#: The fastpath geometry sweep (tests/batch/test_fastpath.py), reused
+#: The Lemma-1 geometry sweep (tests/core/test_planner.py), reused
 #: as the cache-correctness population: every proven mapping kind,
 #: stride family (negative and odd included), non-chunk lengths,
 #: length 1, and nonzero bases.
