@@ -1,272 +1,94 @@
-"""Program hazard analysis: def-use chains and static batchability.
+"""Program hazard analysis: def-use chains and the machine's batches.
 
-Two layers:
+:func:`analyze_program` renders the ``HZ2xx`` rules for one program:
 
-* :func:`predict_batches` mirrors the decoupled machine's batching
-  rules (:mod:`repro.processor.decoupled`) statically — the same
-  hazard-drain test and the same three join refusals (stream capacity,
-  operand readiness, store-span overlap), applied to register names and
-  address arithmetic instead of cycle counts.  The hazard test suite
-  pins its boundaries against the machine's actual runtime batches.
-* :func:`analyze_program` renders that report, plus classic def-use
-  findings, as the ``HZ2xx`` rules:
+- ``HZ201`` *info* — batchability summary (N memory ops → K batches);
+- ``HZ202`` *info* — why each batch broke, per boundary;
+- ``HZ203`` *info* — RAW/WAR/WAW dependency counts;
+- ``HZ204`` *warn* — dead register write (overwritten before read);
+- ``HZ205`` *info* — store/load address spans that overlap;
+- ``HZ206`` *info* — register written but never read.
 
-  - ``HZ201`` *info* — batchability summary (N memory ops → K batches);
-  - ``HZ202`` *info* — why each batch broke, per boundary;
-  - ``HZ203`` *info* — RAW/WAR/WAW dependency counts;
-  - ``HZ204`` *warn* — dead register write (overwritten before read);
-  - ``HZ205`` *info* — store/load address spans that overlap;
-  - ``HZ206`` *info* — register written but never read.
-
-One static approximation is deliberate: an operand produced by an
-*execute* instruction is assumed to arrive after the open batch's start
-(the execute pipeline's ``startup + length`` latency lands after the
-batch opens in every program shape the machine ships), so the analyzer
-closes the batch exactly where the machine's readiness rule does.
-Operands produced by loads in earlier batches are always ready — a
-load's end cycle precedes the next batch's start by construction.
-Gather/scatter address spans are data-dependent, so a pair involving a
-store conservatively counts as overlapping.
+``HZ201`` and ``HZ202`` report one run of the program on the decoupled
+machine the spec describes: the batch partition and the
+:class:`~repro.processor.decoupled.BatchBreak` records of its
+:class:`~repro.processor.decoupled.MachineResult`.  The machine's
+:meth:`~repro.processor.decoupled.DecoupledVectorMachine.run` is the one
+statement of the batching rules — operand readiness depends on cycle
+timing (chaining, execute start-up) and gather/scatter spans on data,
+so no second model of them could agree.  The remaining rules read only
+the instruction list.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.processor.isa import VGather, VLoad, VScatter, VStore
+from repro.processor.decoupled import MachineResult
+from repro.processor.engine import ProgramRun
+from repro.processor.isa import VLoad, VStore
 from repro.processor.program import Program, def_use_events
 
 from repro.check.findings import Finding
 
-__all__ = [
-    "BatchBreak",
-    "BatchReport",
-    "analyze_program",
-    "predict_batches",
-]
+__all__ = ["analyze_program"]
 
 #: Cap on per-rule findings for one program.
 _FINDING_CAP = 8
 
 
-@dataclass(frozen=True)
-class BatchBreak:
-    """Why the open batch closed before instruction ``position``."""
-
-    position: int
-    reason: str
-
-
-@dataclass(frozen=True)
-class BatchReport:
-    """The predicted batch structure of one program."""
-
-    batches: tuple[tuple[int, ...], ...]
-    breaks: tuple[BatchBreak, ...]
-    memory_streams: int
-
-    @property
-    def memory_instruction_count(self) -> int:
-        return sum(len(batch) for batch in self.batches)
-
-    @property
-    def peak_concurrency(self) -> int:
-        return max((len(batch) for batch in self.batches), default=0)
-
-
-@dataclass(frozen=True)
-class _StaticAccess:
-    """What the join rules need to know about one memory instruction."""
-
-    position: int
-    mnemonic: str
-    span: tuple[int, int] | None
-    is_store_op: bool
-    late_operands: tuple[int, ...]
-
-
-def predict_batches(
-    program: Program, *, memory_streams: int, register_length: int
-) -> BatchReport:
-    """The batch partition the decoupled machine will form.
-
-    Applies the machine's rules in its order: the register-hazard drain
-    first (any instruction whose operands touch the open batch's
-    registers closes it), then — for memory instructions — stream
-    capacity, operand readiness, and store-span disjointness.
-    """
-    batches: list[tuple[int, ...]] = []
-    breaks: list[BatchBreak] = []
-    batch: list[_StaticAccess] = []
-    pending_reads: set[int] = set()
-    pending_writes: set[int] = set()
-    #: Register -> what last wrote it ("load" covers gathers too);
-    #: registers never written are machine-predefined, ready at cycle 0.
-    producer: dict[int, str] = {}
-
-    def close(position: int | None, reason: str | None) -> None:
-        if not batch:
-            return
-        batches.append(tuple(member.position for member in batch))
-        if position is not None and reason is not None:
-            breaks.append(BatchBreak(position, reason))
-        batch.clear()
-        pending_reads.clear()
-        pending_writes.clear()
-
-    for position, instruction, reads, writes in def_use_events(program):
-        if batch and (
-            reads & pending_writes
-            or writes & (pending_writes | pending_reads)
-        ):
-            hazard = sorted(
-                (reads & pending_writes)
-                | (writes & (pending_writes | pending_reads))
-            )
-            close(
-                position,
-                f"register hazard on "
-                f"{', '.join(f'V{r}' for r in hazard)} drains the batch",
-            )
-        if instruction.is_memory:
-            access = _static_access(
-                position, instruction, register_length, producer
-            )
-            if batch:
-                refusal = _join_refusal(access, batch, memory_streams)
-                if refusal is not None:
-                    close(position, refusal)
-            batch.append(access)
-            pending_reads.update(reads)
-            pending_writes.update(writes)
-        for register in writes:
-            producer[register] = "load" if instruction.is_memory else "execute"
-    close(None, None)
-    return BatchReport(tuple(batches), tuple(breaks), memory_streams)
-
-
-def _static_access(
-    position: int, instruction, register_length: int, producer: dict[int, str]
-) -> _StaticAccess:
-    if isinstance(instruction, (VLoad, VStore)):
-        length = instruction.length or register_length
-        addresses = [
-            instruction.base + i * instruction.stride for i in range(length)
-        ]
-        span = (min(addresses), max(addresses))
-    else:
-        span = None  # gather/scatter addresses are data-dependent
-    if isinstance(instruction, VStore):
-        operands = (instruction.src,)
-    elif isinstance(instruction, VGather):
-        operands = (instruction.index,)
-    elif isinstance(instruction, VScatter):
-        operands = (instruction.src, instruction.index)
-    else:
-        operands = ()
-    late = tuple(
-        register
-        for register in operands
-        if producer.get(register) == "execute"
-    )
-    return _StaticAccess(
-        position,
-        instruction.mnemonic,
-        span,
-        isinstance(instruction, (VStore, VScatter)),
-        late,
-    )
-
-
-def _join_refusal(
-    access: _StaticAccess, batch: list[_StaticAccess], memory_streams: int
-) -> str | None:
-    """The machine's ``_can_join`` rules, checked in its order."""
-    if len(batch) >= memory_streams:
-        return (
-            f"the batch already occupies all "
-            f"memory_streams={memory_streams} stream slots"
-        )
-    if access.late_operands:
-        names = ", ".join(f"V{r}" for r in access.late_operands)
-        return (
-            f"operand {names} comes from the execute pipeline and is "
-            f"not ready when the batch starts"
-        )
-    for member in batch:
-        if not (access.is_store_op or member.is_store_op):
-            continue
-        if access.span is None or member.span is None:
-            return (
-                f"{access.mnemonic} at {access.position} has a "
-                f"data-dependent address span; with a store in the pair "
-                f"it must be assumed to overlap instruction "
-                f"{member.position}"
-            )
-        if not (
-            access.span[1] < member.span[0]
-            or member.span[1] < access.span[0]
-        ):
-            return (
-                f"address span [{access.span[0]}..{access.span[1]}] "
-                f"overlaps instruction {member.position}'s span "
-                f"[{member.span[0]}..{member.span[1]}] with a store "
-                f"involved"
-            )
-    return None
-
-
 def analyze_program(
+    program: Program, run: ProgramRun, *, location: str
+) -> list[Finding]:
+    """Every ``HZ2xx`` finding for one program and its machine run."""
+    findings = _batch_findings(
+        program, run.result, run.machine.memory_streams, location
+    )
+    findings.extend(_def_use_findings(program, location))
+    findings.extend(
+        _span_findings(program, run.machine.register_length, location)
+    )
+    return findings
+
+
+def _batch_findings(
     program: Program,
-    *,
+    result: MachineResult,
     memory_streams: int,
-    register_length: int,
     location: str,
 ) -> list[Finding]:
-    """Every ``HZ2xx`` finding for one program."""
-    findings = []
-    report = predict_batches(
-        program,
-        memory_streams=memory_streams,
-        register_length=register_length,
-    )
-    findings.append(
+    """HZ201 batch summary and HZ202 breaks, from the machine's run."""
+    memory = result.memory_timings()
+    batches = sum(1 for timing in memory if timing.stream == 0)
+    findings = [
         Finding(
             "HZ201",
             "info",
             f"{location}.program",
-            f"{report.memory_instruction_count} memory instruction(s) "
-            f"form {len(report.batches)} batch(es) under "
-            f"memory_streams={memory_streams}; peak stream concurrency "
-            f"{report.peak_concurrency}",
+            f"{len(memory)} memory instruction(s) form {batches} "
+            f"batch(es) under memory_streams={memory_streams}; peak "
+            f"stream concurrency {result.stream_concurrency_peak}",
         )
-    )
-    mnemonics = {
-        position: instruction.mnemonic
-        for position, instruction in enumerate(program)
-    }
-    for break_ in report.breaks[:_FINDING_CAP]:
+    ]
+    for break_ in result.breaks[:_FINDING_CAP]:
         findings.append(
             Finding(
                 "HZ202",
                 "info",
                 f"{location}.program[{break_.position}]",
-                f"batch break before {mnemonics[break_.position]}: "
+                f"batch break before "
+                f"{program.instructions[break_.position].mnemonic}: "
                 f"{break_.reason}",
             )
         )
-    if len(report.breaks) > _FINDING_CAP:
+    if len(result.breaks) > _FINDING_CAP:
         findings.append(
             Finding(
                 "HZ202",
                 "info",
                 f"{location}.program",
-                f"{len(report.breaks) - _FINDING_CAP} further batch "
+                f"{len(result.breaks) - _FINDING_CAP} further batch "
                 f"breaks (capped at {_FINDING_CAP} per program)",
             )
         )
-    findings.extend(_def_use_findings(program, location))
-    findings.extend(_span_findings(program, register_length, location))
     return findings
 
 

@@ -7,7 +7,8 @@
 * ``SL306`` *error* — a program spec whose drive is not ``decoupled``.
 
 The remaining ``SL3xx`` rules live in the runner, which owns parsing
-(``SL304``) and component building (``SL303``).
+(``SL304``) and component building, including the program's machine
+run (``SL303``).
 """
 
 from __future__ import annotations

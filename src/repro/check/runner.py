@@ -4,7 +4,9 @@
 ``repro scenario run`` and ``POST /v1/runs`` accept — one spec, one
 grid, or a list of either — and never raises on bad input: parse and
 build failures become ``SL303``/``SL304`` findings so one malformed
-entry cannot hide the diagnostics for the rest.
+entry cannot hide the diagnostics for the rest.  A program spec runs
+once on the machine its drive describes (``HZ201``/``HZ202`` report
+that run); a program the machine rejects is an ``SL303`` finding too.
 
 :func:`require_submittable` is the front-door subset (spec lint plus
 grid dedupe, no simulation objects built) that the lab executor and the
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.scenarios.components import DEFAULT_PROGRAM_REGISTER_LENGTH
-from repro.scenarios.facade import build_config, build_workload
+from repro.scenarios.facade import build_config, build_workload, program_engine
 from repro.scenarios.grid import ScenarioGrid
 from repro.scenarios.registry import DRIVE, PROGRAM, build
 from repro.scenarios.spec import ScenarioSpec
@@ -137,16 +139,21 @@ def _check_spec(spec: ScenarioSpec, location: str) -> list[Finding]:
         )
     )
     if scenario_program is not None:
-        memory_streams = (
-            getattr(drive, "memory_streams", None) or config.ports
-        )
-        findings.extend(
-            analyze_program(
-                scenario_program.program,
-                memory_streams=memory_streams,
-                register_length=register_length,
-                location=location,
+        engine = program_engine(config, drive, register_length)
+        try:
+            run = engine.run(scenario_program.program, scenario_program.inputs)
+        except ReproError as error:
+            findings.append(
+                Finding(
+                    "SL303",
+                    "error",
+                    f"{location}.program",
+                    f"the program fails on the decoupled machine: {error}",
+                )
             )
+            return findings
+        findings.extend(
+            analyze_program(scenario_program.program, run, location=location)
         )
     return findings
 

@@ -44,7 +44,7 @@ from repro.memory.metrics import (
     summarise_population,
 )
 from repro.memory.module import InFlightRequest, MemoryModule
-from repro.memory.multiport import MultiPortMemorySystem, PortAssignment
+from repro.memory.multiport import MultiPortMemorySystem
 from repro.memory.multistream import (
     MultiStreamMemorySystem,
     MultiStreamResult,
@@ -71,7 +71,6 @@ __all__ = [
     "StreamResult",
     "StreamRun",
     "PopulationSummary",
-    "PortAssignment",
     "access_efficiency",
     "cycles_per_element",
     "describe_result",

@@ -23,7 +23,6 @@ lives there, shared with the single-stream and single-bus views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import SimulationError
@@ -38,20 +37,8 @@ from repro.memory.multistream import (
 __all__ = [
     "MultiPortMemorySystem",
     "MultiStreamResult",
-    "PortAssignment",
     "StreamResult",
 ]
-
-
-@dataclass(frozen=True)
-class PortAssignment:
-    """Static binding of streams to ports (stream i -> port i % ports)."""
-
-    ports: int
-    streams: int
-
-    def port_of(self, stream_index: int) -> int:
-        return stream_index % self.ports
 
 
 class MultiPortMemorySystem:

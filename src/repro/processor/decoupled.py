@@ -25,7 +25,10 @@ streams of one kernel run — with two ports the unit issues a second
 load while the first drains; with one port the streams interleave on
 the shared address bus.  Register hazards, address overlap between
 stores and anything else, and operand readiness all close a batch, so
-program semantics never change — only the overlap.
+program semantics never change — only the overlap.  :meth:`run` is the
+one statement of these rules: each batch it closes before an
+instruction is recorded, with its reason, in :attr:`MachineResult.breaks`
+(which ``repro check`` reports as ``HZ201``/``HZ202``).
 
 Timing is accounted per instruction; data really moves (loads read the
 backing store, stores write it), so end-to-end numerical correctness is
@@ -40,7 +43,7 @@ and the CLI both go through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.gather import IndexedAccess, IndexedMode, plan_indexed
 from repro.core.planner import AccessPlanner, PlanMode
@@ -60,7 +63,7 @@ from repro.processor.isa import (
     VStore,
     VSum,
 )
-from repro.processor.program import Program
+from repro.processor.program import Program, def_use_events
 
 
 @dataclass(frozen=True)
@@ -89,17 +92,28 @@ class InstructionTiming:
 
 
 @dataclass(frozen=True)
+class BatchBreak:
+    """Why the open batch closed before instruction ``position``."""
+
+    position: int
+    reason: str
+
+
+@dataclass(frozen=True)
 class MachineResult:
     """Outcome of running a program.
 
     ``stream_concurrency_peak`` is the largest number of memory
     instructions that were in flight together (1 on the classic
-    single-port, single-stream machine).
+    single-port, single-stream machine).  ``breaks`` lists, in program
+    order, every batch that closed before a later instruction and why;
+    the final batch, which closes at the end of the program, has none.
     """
 
     timings: tuple[InstructionTiming, ...]
     total_cycles: int
     stream_concurrency_peak: int = 1
+    breaks: tuple[BatchBreak, ...] = ()
 
     def memory_timings(self) -> list[InstructionTiming]:
         return [timing for timing in self.timings if timing.unit == "memory"]
@@ -136,8 +150,6 @@ class _PendingAccess:
     ready_cycle: int
     span: tuple[int, int]  # min/max raw address touched
     is_store_op: bool
-    reads: frozenset[int] = field(default_factory=frozenset)
-    writes: frozenset[int] = field(default_factory=frozenset)
 
 
 class DecoupledVectorMachine:
@@ -247,17 +259,13 @@ class DecoupledVectorMachine:
         batch: list[_PendingAccess] = []
         batch_start = 1
         peak = 0
-
-        def batch_registers() -> tuple[frozenset[int], frozenset[int]]:
-            reads: set[int] = set()
-            writes: set[int] = set()
-            for member in batch:
-                reads |= member.reads
-                writes |= member.writes
-            return frozenset(reads), frozenset(writes)
+        #: Registers the open batch reads/writes (the hazard drain's view).
+        pending_reads: set[int] = set()
+        pending_writes: set[int] = set()
+        breaks: list[BatchBreak] = []
 
         def finalise() -> None:
-            nonlocal memory_free, batch, peak
+            nonlocal memory_free, peak
             if not batch:
                 return
             peak = max(peak, len(batch))
@@ -269,29 +277,45 @@ class DecoupledVectorMachine:
                 timings,
                 results_by_position,
             )
-            batch = []
+            batch.clear()
+            pending_reads.clear()
+            pending_writes.clear()
 
-        for position, instruction in enumerate(program):
-            touched_reads = frozenset(instruction.reads())
-            touched_writes = frozenset(instruction.writes())
-            if batch:
-                pending_reads, pending_writes = batch_registers()
-                if touched_reads & pending_writes or touched_writes & (
-                    pending_writes | pending_reads
-                ):
-                    # Register hazard against an in-flight access: drain
-                    # the batch so values and ready cycles are current.
-                    finalise()
+        for position, instruction, reads, writes in def_use_events(program):
+            if batch and not (
+                reads.isdisjoint(pending_writes)
+                and writes.isdisjoint(pending_reads)
+                and writes.isdisjoint(pending_writes)
+            ):
+                # Register hazard against an in-flight access: drain
+                # the batch so values and ready cycles are current.
+                hazard = reads & pending_writes | writes & (
+                    pending_reads | pending_writes
+                )
+                breaks.append(
+                    BatchBreak(
+                        position,
+                        f"register hazard on {_register_names(hazard)} "
+                        f"drains the batch",
+                    )
+                )
+                finalise()
             if instruction.is_memory:
                 pending = self._prepare_memory(
                     position, instruction, register_ready
                 )
-                if batch and self._can_join(pending, batch, batch_start):
-                    batch.append(pending)
-                else:
-                    finalise()
+                if batch:
+                    refusal = self._refusal(
+                        pending, batch, batch_start, register_ready
+                    )
+                    if refusal is not None:
+                        breaks.append(BatchBreak(position, refusal))
+                        finalise()
+                if not batch:
                     batch_start = max(memory_free, pending.ready_cycle + 1)
-                    batch = [pending]
+                batch.append(pending)
+                pending_reads.update(reads)
+                pending_writes.update(writes)
             elif isinstance(instruction, (VBinary, VScalarOp, VSum)):
                 timing, execute_free = self._run_execute(
                     position,
@@ -315,6 +339,7 @@ class DecoupledVectorMachine:
             timings=ordered,
             total_cycles=total,
             stream_concurrency_peak=max(peak, 1),
+            breaks=tuple(breaks),
         )
 
     # -- memory unit ----------------------------------------------------
@@ -367,7 +392,6 @@ class DecoupledVectorMachine:
                     0,
                     _address_span(stream),
                     False,
-                    writes=frozenset((instruction.dst,)),
                 )
             return _PendingAccess(
                 position,
@@ -379,7 +403,6 @@ class DecoupledVectorMachine:
                 register_ready[instruction.src],
                 _address_span(stream),
                 True,
-                reads=frozenset((instruction.src,)),
             )
         access = self._indexed_access_for(instruction)
         plan = plan_indexed(
@@ -397,8 +420,6 @@ class DecoupledVectorMachine:
                 register_ready[instruction.index],
                 _address_span(stream),
                 False,
-                reads=frozenset((instruction.index,)),
-                writes=frozenset((instruction.dst,)),
             )
         return _PendingAccess(
             position,
@@ -413,31 +434,51 @@ class DecoupledVectorMachine:
             ),
             _address_span(stream),
             True,
-            reads=frozenset((instruction.src, instruction.index)),
         )
 
-    def _can_join(
+    def _refusal(
         self,
         pending: _PendingAccess,
         batch: list[_PendingAccess],
         batch_start: int,
-    ) -> bool:
-        """May ``pending`` run concurrently with the open batch?
+        register_ready: dict[int, int],
+    ) -> str | None:
+        """Why ``pending`` may not run concurrently with the open batch
+        (``None`` when it may join).
 
         Register hazards were already drained by the caller; what is
         left is capacity, operand readiness (a late-arriving operand
         must not delay streams already in flight) and memory ordering
-        (a store may not overlap any concurrent access's address span).
+        (a store may not overlap any concurrent access's address span),
+        checked in that order.
         """
         if len(batch) >= self.memory_streams:
-            return False
+            return (
+                f"the batch already occupies all "
+                f"memory_streams={self.memory_streams} stream slots"
+            )
         if pending.ready_cycle + 1 > batch_start:
-            return False
+            late = [
+                register
+                for register in pending.instruction.reads()
+                if register_ready[register] >= batch_start
+            ]
+            return (
+                f"operand {_register_names(late)} completes at cycle "
+                f"{pending.ready_cycle}, not before the open batch's start "
+                f"at cycle {batch_start}"
+            )
         for member in batch:
-            if pending.is_store_op or member.is_store_op:
-                if not _spans_disjoint(pending.span, member.span):
-                    return False
-        return True
+            if (
+                pending.is_store_op or member.is_store_op
+            ) and not _spans_disjoint(pending.span, member.span):
+                return (
+                    f"address span [{pending.span[0]}..{pending.span[1]}] "
+                    f"overlaps instruction {member.position}'s span "
+                    f"[{member.span[0]}..{member.span[1]}] with a store "
+                    f"involved"
+                )
+        return None
 
     def _finalise_batch(
         self,
@@ -619,27 +660,33 @@ class DecoupledVectorMachine:
         return candidate
 
     def _apply_values(self, instruction, length: int) -> None:
-        """Move the data: element-wise semantics independent of timing."""
-        destination = self.registers.register(instruction.writes()[0])
-        destination.clear()
+        """Move the data: element-wise semantics independent of timing.
+
+        Every operand element is read before the destination is
+        cleared, so an instruction may overwrite one of its sources
+        (``vadd v1, v1, v2``).
+        """
         if isinstance(instruction, VBinary):
             left = self.registers.register(instruction.a)
             right = self.registers.register(instruction.b)
-            for index in range(length):
-                destination.write(
-                    index, instruction.apply(left.read(index), right.read(index))
-                )
+            values = [
+                instruction.apply(left.read(index), right.read(index))
+                for index in range(length)
+            ]
         elif isinstance(instruction, VSum):
             source = self.registers.register(instruction.src)
-            total = sum(source.read(index) for index in range(length))
-            for index in range(length):
-                destination.write(index, total)
+            values = [sum(source.read(index) for index in range(length))] * length
         elif isinstance(instruction, VScalarOp):
             source = self.registers.register(instruction.src)
-            for index in range(length):
-                destination.write(index, instruction.apply(source.read(index)))
+            values = [
+                instruction.apply(source.read(index)) for index in range(length)
+            ]
         else:  # pragma: no cover - defensive
             raise ProgramError(f"unsupported execute instruction {instruction!r}")
+        destination = self.registers.register(instruction.writes()[0])
+        destination.clear()
+        for index, value in enumerate(values):
+            destination.write(index, value)
 
 
 def _address_span(stream: tuple[tuple[int, int], ...]) -> tuple[int, int]:
@@ -650,3 +697,7 @@ def _address_span(stream: tuple[tuple[int, int], ...]) -> tuple[int, int]:
 
 def _spans_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[1] < b[0] or b[1] < a[0]
+
+
+def _register_names(registers) -> str:
+    return ", ".join(f"V{register}" for register in sorted(registers))

@@ -86,9 +86,11 @@ class Program:
 def def_use_events(program: Program):
     """Yield ``(position, instruction, reads, writes)`` for a program.
 
-    ``reads``/``writes`` are frozen register-number sets — the def-use
-    stream that drives both the machine's hazard batching and the
-    static analyzer's mirror of it (:mod:`repro.check.hazards`).
+    ``reads``/``writes`` are frozen register-number sets.  The decoupled
+    machine drains its open batch on them (an instruction that reads a
+    register the batch writes, or writes one it reads or writes, closes
+    it), and :mod:`repro.check.hazards` counts RAW/WAR/WAW dependencies
+    and dead writes from the same stream.
     """
     for position, instruction in enumerate(program):
         yield (
@@ -137,8 +139,17 @@ def _require(keywords: dict[str, float], mnemonic: str, *names: str) -> None:
         )
 
 
+def _integer(keywords: dict[str, float], name: str) -> int:
+    """An integer operand; non-finite or fractional values are errors,
+    not silently truncated."""
+    value = keywords[name]
+    if not value.is_integer():
+        raise ProgramError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _optional_length(keywords: dict[str, float]) -> int | None:
-    return int(keywords["length"]) if "length" in keywords else None
+    return _integer(keywords, "length") if "length" in keywords else None
 
 
 def _parse_instruction(line: str) -> Instruction:
@@ -156,8 +167,8 @@ def _parse_instruction(line: str) -> Instruction:
         kind = VLoad if mnemonic == "vload" else VStore
         return kind(
             register,
-            int(keywords["base"]),
-            int(keywords["stride"]),
+            _integer(keywords, "base"),
+            _integer(keywords, "stride"),
             _optional_length(keywords),
         )
     if mnemonic in ("vadd", "vsub", "vmul"):
@@ -177,7 +188,7 @@ def _parse_instruction(line: str) -> Instruction:
         kind = VGather if mnemonic == "vgather" else VScatter
         return kind(
             data_register,
-            int(keywords["base"]),
+            _integer(keywords, "base"),
             index_register,
             _optional_length(keywords),
         )

@@ -41,6 +41,7 @@ from repro.mappings.dynamic import DynamicSchemeSelector
 from repro.memory.config import MemoryConfig
 from repro.memory.system import AccessResult, MemorySystem
 from repro.obs.tracer import resolve_tracer
+from repro.processor.engine import ProgramEngine, single_load_program
 from repro.scenarios import components as _components  # registers kinds
 from repro.scenarios.components import (
     DecoupledDrive,
@@ -554,23 +555,16 @@ def _simulate_figure6(
     return _aggregate(spec, config, [("conflict_free", run)], extras)
 
 
-def _simulate_decoupled(
-    spec: ScenarioSpec,
-    workload: Workload,
+def program_engine(
     config: MemoryConfig,
     drive: DecoupledDrive,
+    register_length: int,
     tracer=None,
-) -> ScenarioResult:
-    from repro.processor.engine import ProgramEngine, single_load_program
-
-    vector = workload.single_vector()
-    register_length = drive.register_length or vector.length
-    if register_length < vector.length:
-        raise ConfigurationError(
-            f"register_length {register_length} is shorter than the "
-            f"workload vector ({vector.length} elements)"
-        )
-    engine = ProgramEngine(
+) -> ProgramEngine:
+    """The :class:`~repro.processor.engine.ProgramEngine` a decoupled
+    drive describes — the one both decoupled paths and ``repro check``
+    run programs on."""
+    return ProgramEngine(
         config,
         register_length,
         execute_startup=drive.execute_startup,
@@ -579,6 +573,23 @@ def _simulate_decoupled(
         memory_streams=drive.memory_streams,
         tracer=tracer,
     )
+
+
+def _simulate_decoupled(
+    spec: ScenarioSpec,
+    workload: Workload,
+    config: MemoryConfig,
+    drive: DecoupledDrive,
+    tracer=None,
+) -> ScenarioResult:
+    vector = workload.single_vector()
+    register_length = drive.register_length or vector.length
+    if register_length < vector.length:
+        raise ConfigurationError(
+            f"register_length {register_length} is shorter than the "
+            f"workload vector ({vector.length} elements)"
+        )
+    engine = program_engine(config, drive, register_length, tracer)
     # The implicit program: one VLOAD (plus a dependent VADD when
     # chaining, which makes the chained overlap observable).
     program = single_load_program(vector, drive.chaining)
@@ -624,22 +635,13 @@ def _simulate_program(
         CHAINING_MODEL_TOLERANCE,
         program_chaining_speedup,
     )
-    from repro.processor.engine import ProgramEngine
     from repro.scenarios.components import DEFAULT_PROGRAM_REGISTER_LENGTH
 
     register_length = drive.register_length or DEFAULT_PROGRAM_REGISTER_LENGTH
     scenario_program = build(
         PROGRAM, spec.program, register_length=register_length
     )
-    engine = ProgramEngine(
-        config,
-        register_length,
-        execute_startup=drive.execute_startup,
-        chaining=drive.chaining,
-        plan_mode=drive.plan_mode,  # type: ignore[arg-type]
-        memory_streams=drive.memory_streams,
-        tracer=tracer,
-    )
+    engine = program_engine(config, drive, register_length, tracer)
     run = engine.run(
         scenario_program.program,
         scenario_program.inputs,

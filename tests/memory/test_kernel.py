@@ -550,14 +550,23 @@ class TestKernelValidation:
 
 class TestKernelRunRecord:
     def test_port_occupancy_reported(self):
-        streams = plan_streams(
-            UNMATCHED, "auto", [VectorAccess(0, 16, 32), VectorAccess(1 << 9, 16, 32)]
+        vectors = [VectorAccess(0, 16, 32), VectorAccess(1 << 9, 16, 32)]
+        run = MemoryKernel(UNMATCHED, ports=2).run(
+            plan_streams(UNMATCHED, "auto", vectors)
         )
-        run = MemoryKernel(UNMATCHED, ports=2).run(streams)
         assert run.ports == 2
         assert [stream.port for stream in run.streams] == [0, 1]
         assert sum(run.port_issue_cycles) == run.bus_busy_cycles == 64
         assert run.aggregate_elements == 64
+        # Stream i issues on port i % ports, wrapping past the port count.
+        wide = MemoryKernel(UNMATCHED, ports=2).run(
+            plan_streams(
+                UNMATCHED, "auto", [*vectors, VectorAccess(1 << 10, 16, 32)]
+            )
+        )
+        assert [stream.port for stream in wide.streams] == [
+            index % 2 for index in range(3)
+        ]
 
     def test_busy_attribution_sums_to_total(self):
         streams = plan_streams(

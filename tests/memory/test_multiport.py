@@ -8,7 +8,7 @@ from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.config import MemoryConfig
-from repro.memory.multiport import MultiPortMemorySystem, PortAssignment
+from repro.memory.multiport import MultiPortMemorySystem
 from repro.memory.multistream import MultiStreamMemorySystem
 
 
@@ -37,12 +37,6 @@ class TestConstruction:
         system = MultiPortMemorySystem(unmatched_config, 2)
         with pytest.raises(SimulationError):
             system.run_streams([])
-
-
-class TestPortAssignment:
-    def test_round_robin_binding(self):
-        assignment = PortAssignment(ports=2, streams=5)
-        assert [assignment.port_of(i) for i in range(5)] == [0, 1, 0, 1, 0]
 
 
 class TestThroughput:

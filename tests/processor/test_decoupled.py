@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ProgramError
 from repro.memory.config import MemoryConfig
 from repro.processor.decoupled import DecoupledVectorMachine
-from repro.processor.isa import VAdd, VLoad, VScale, VStore
+from repro.processor.isa import VAdd, VLoad, VScale, VStore, VSum
 from repro.processor.program import Program
 
 
@@ -58,6 +58,25 @@ class TestDataMovement:
                      VStore(2, 5000, 1, 40)])
         )
         assert machine.store.read_vector(5000, 1, 40) == [3.0] * 40
+
+    def test_execute_may_overwrite_its_own_source(self):
+        machine = make_machine()
+        xs = [float(i) for i in range(128)]
+        machine.store.write_vector(0, 1, xs)
+        machine.run(
+            Program(
+                [
+                    VLoad(1, 0, 1),
+                    VAdd(1, 1, 1),
+                    VScale(1, 1, 0.5),
+                    VStore(1, 5000, 1),
+                    VSum(1, 1),
+                    VStore(1, 6000, 1),
+                ]
+            )
+        )
+        assert machine.store.read_vector(5000, 1, 128) == xs
+        assert machine.store.read_vector(6000, 1, 128) == [sum(xs)] * 128
 
     def test_length_exceeding_register_rejected(self):
         machine = make_machine()

@@ -173,3 +173,75 @@ class TestParseSource:
     def test_assemble_rejects_directives(self):
         with pytest.raises(ProgramError, match="not allowed"):
             assemble(".init base=0, stride=1, values=1")
+
+
+#: Integer operands whose text is not an integer: each must be a
+#: located ProgramError, never an OverflowError/ValueError or a
+#: silently truncated value.
+BAD_INTEGER_OPERANDS = [
+    "vload v2, base=1e400, stride=1",
+    "vload v2, base=inf, stride=1",
+    "vload v2, base=nan, stride=1",
+    "vload v2, base=1.5, stride=1",
+    "vstore v1, base=0, stride=-inf",
+    "vload v2, base=0, stride=2.5",
+    "vload v2, base=0, stride=1, length=nan",
+    "vgather v2, v1, base=1e400",
+    "vscatter v1, v1, base=0.5",
+    ".fill base=0, stride=1, count=inf, value=1",
+]
+
+
+class TestIntegerOperands:
+    @staticmethod
+    def source(line: str) -> str:
+        return (
+            ".fill base=0, stride=1, count=64, value=1\n"
+            "vload v1, base=0, stride=1\n"
+            f"{line}"
+        )
+
+    @pytest.mark.parametrize("line", BAD_INTEGER_OPERANDS)
+    def test_parser_raises_a_located_program_error(self, line):
+        from repro.processor.program import parse_source
+
+        parse = parse_source if line.startswith(".") else assemble
+        with pytest.raises(ProgramError) as excinfo:
+            parse(line)
+        assert excinfo.value.line_number == 1
+        assert excinfo.value.source_line == line
+
+    @pytest.mark.parametrize("line", BAD_INTEGER_OPERANDS)
+    def test_check_reports_sl303_without_raising(self, line):
+        import json
+
+        from repro.check import check_document
+
+        document = {
+            "mapping": {"kind": "matched-xor", "params": {"t": 3, "s": 4}},
+            "memory": {"t": 3},
+            "program": {"kind": "asm", "params": {"text": self.source(line)}},
+            "drive": {"kind": "decoupled", "params": {}},
+        }
+        report = check_document(json.dumps(document), source="s")
+        [error] = report.errors
+        assert error.rule_id == "SL303"
+        assert "line 3" in error.message
+
+    @pytest.mark.parametrize("line", BAD_INTEGER_OPERANDS)
+    def test_simulate_raises_a_repro_error(self, line):
+        from repro.errors import ReproError
+        from repro.scenarios import ComponentSpec, MemorySpec, ScenarioSpec, simulate
+
+        spec = ScenarioSpec(
+            mapping=ComponentSpec.of("matched-xor", t=3, s=4),
+            memory=MemorySpec(t=3),
+            program=ComponentSpec.of("asm", text=self.source(line)),
+            drive=ComponentSpec.of("decoupled"),
+        )
+        with pytest.raises(ReproError, match="line 3"):
+            simulate(spec)
+
+    def test_integral_float_text_still_assembles(self):
+        [load] = assemble("vload v1, base=1e3, stride=-2, length=4.0")
+        assert (load.base, load.stride, load.length) == (1000, -2, 4)
